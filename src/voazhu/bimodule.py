@@ -22,8 +22,8 @@ from .formal import binom
 from .linalg import ModuleWindow, WindowSubspace
 from .modules import GenModule, VOAlgebra
 from .ops import ywv_mode
-from .zhu import (CERTIFIED, INCONCLUSIVE, MembershipCert, circ_residue,
-                  lp_element, star_product, weighted_residue_modes)
+from .zhu import (MembershipCert, cached_context, circ_residue, lp_element,
+                  star_product, verified_cert, weighted_residue_modes)
 
 
 def weighted_residue_ywv(module: GenModule, w: GradedVector, u: GradedVector,
@@ -93,59 +93,51 @@ class BimoduleContext:
     of an intertwining operator provably kills is the "circ" span alone
     (the lowest-weight family is *not* killed in general; see the
     discrepancy notes in the tests).
+
+    ``base``, a context for the same (W, N, families) at a shallower depth,
+    is grown rather than rebuilt, as for ``ZhuContext``.
     """
 
     def __init__(self, module: GenModule, N: int, depth: int,
-                 include_deep_powers: bool = False,
-                 families: tuple = ("lp", "circ")):
+                 families: tuple = ("lp", "circ"),
+                 base: "BimoduleContext | None" = None):
         self.module = module
         self.algebra: VOAlgebra = module.algebra
         self.N = N
         self.depth = depth
-        self.include_deep_powers = include_deep_powers
         self.families = tuple(families)
         self.window = ModuleWindow(module, depth)
-        self.subspace = WindowSubspace(self.window, track=True)
-        self.labels: list[str] = []
-        self._enumerate()
+        self.subspace = WindowSubspace(self.window, track=True,
+                                       base=base.subspace if base else None)
+        self.labels: list[str] = list(base.labels) if base else []
+        self._enumerate(base.depth if base else 0)
 
-    def _enumerate(self) -> None:
+    def _enumerate(self, have: int) -> None:
+        """Add the generators of depth D that the depth-``have`` window lacks."""
         mod, alg, N, D = self.module, self.algebra, self.N, self.depth
         if "lp" in self.families:
-            for b in range(0, D):
+            for b in range(have, D):
                 for w_bv in mod.basis_at_depth(b):
                     w = GradedVector(mod, {w_bv: Fraction(1)})
                     self._add(lp_element(mod, w), f"lp[{w_bv}]")
         if "circ" not in self.families:
             return
         for a in range(1, D - 2 * N):
-            for b in range(0, D - a - 2 * N):
-                # u o_N w tops out at depth wt u + depth w + 2N + 1
+            # u o_N w tops out at depth wt u + depth w + 2N + 1, so the
+            # depth-``have`` window holds those with depth w < have - wt u - 2N
+            for b in range(max(0, have - a - 2 * N), D - a - 2 * N):
                 for u_bv in alg.basis_at_depth(a):
                     u = GradedVector(alg, {u_bv: Fraction(1)})
                     for w_bv in mod.basis_at_depth(b):
                         w = GradedVector(mod, {w_bv: Fraction(1)})
                         self._add(circ_w(mod, u, w, N), f"circ[{u_bv};{w_bv}]")
-                        if self.include_deep_powers:
-                            for p in range(1, D - 2 * N - 1 - a - b + 1):
-                                self._add(circ_w(mod, u, w, N, p=p, q=0),
-                                          f"deep[{u_bv};{w_bv};p={p}]")
 
     def _add(self, gv: GradedVector, label: str) -> None:
         self.subspace.add_generator(gv)
         self.labels.append(label)
 
     def membership(self, x: GradedVector) -> MembershipCert:
-        witness = self.subspace.witness(x)
-        if witness is None:
-            return MembershipCert(INCONCLUSIVE, self.depth)
-        if __debug__:
-            rebuilt = self.module.zero()
-            for i, c in witness.items():
-                rebuilt = rebuilt + self.subspace.gens[i] * c
-            assert rebuilt == x, "bimodule membership witness failed to reproduce the vector"
-        labels = tuple(self.labels[i] for i in witness)
-        return MembershipCert(CERTIFIED, self.depth, witness, labels)
+        return verified_cert(self.subspace, self.labels, self.depth, x)
 
     # window-checked action shorthands -------------------------------------
 
@@ -172,14 +164,16 @@ _bimodule_cache: dict = {}
 
 
 def bimodule_context(module: GenModule, N: int, depth: int,
-                     include_deep_powers: bool = False,
                      families: tuple = ("lp", "circ")) -> BimoduleContext:
-    key = (module.module_id, N, depth, include_deep_powers, tuple(families))
-    ctx = _bimodule_cache.get(key)
-    if ctx is None or ctx.module is not module:
-        ctx = BimoduleContext(module, N, depth, include_deep_powers, families)
-        _bimodule_cache[key] = ctx
-    return ctx
+    """The cached window of O_N(W) at depth, grown from a shallower one.
+
+    As ``zhu_context``: the first request for a depth grows the deepest
+    cached shallower context of (W, N, families), and the result is the
+    span of exactly the depth-D generators of those families.
+    """
+    families = tuple(families)
+    return cached_context(_bimodule_cache, (module.module_id, N, families), module, depth,
+                          lambda base: BimoduleContext(module, N, depth, families, base))
 
 
 def intertwiner_ideal_context(module: GenModule, N: int, depth: int) -> BimoduleContext:

@@ -11,6 +11,10 @@ Subcommands:
 All output is JSON; --csv switches to flat tables.  Element files are
 JSON lists of [monomial, coefficient] pairs, e.g.
 [["a(-1)^2", "3/4"], ["a(-2)", "-1"]].
+
+Bad input (an unknown module spec, a malformed number or element file, an
+element deeper than --depth) ends the run with a one-line message on
+standard error and exit code 2.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .errors import VoazhuError
 from .identities import (alternating_binomial_sum,
                          verify_bivariate_binomial_cancellation,
                          verify_telescoping_binomial_sum)
@@ -29,6 +34,57 @@ from .intertwiner import fusion_report
 from .report import SuiteConfig, report_json, run_suite
 from .serialize import pairs_to_vector, parse_module_spec, vector_to_pairs
 from .zhu import zhu_context
+
+
+class InputError(Exception):
+    """Bad command-line input, reported as one line with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _nonneg_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> tuple:
+    """A comma separated list of nonnegative integers, e.g. "0,1"."""
+    return tuple(_nonneg_int(t) for t in text.split(","))
+
+
+def _module(text: str):
+    try:
+        return parse_module_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _algebra(text: str):
+    module = _module(text)
+    if module.algebra is not module:
+        raise argparse.ArgumentTypeError(
+            f"{module.module_id} is a module, not an algebra (try heisenberg or virasoro:c=C)")
+    return module
+
+
+def _read_element(algebra, path: str):
+    """The element stored in a JSON file of [monomial, coefficient] pairs."""
+    try:
+        with open(path) as fh:
+            pairs = json.load(fh)
+        if not (isinstance(pairs, list)
+                and all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                        for p in pairs)):
+            raise ValueError("expected a JSON list of [monomial, coefficient] pairs")
+        return pairs, pairs_to_vector(algebra, pairs)
+    except ZeroDivisionError:
+        raise InputError(f"element file {path}: a coefficient has denominator 0") from None
+    except (OSError, ValueError, TypeError, VoazhuError) as exc:
+        raise InputError(f"element file {path}: {exc}") from None
 
 
 def _emit(payload, args, flatten_rows=None):
@@ -71,7 +127,7 @@ def cmd_verify_identities(args):
 
 
 def cmd_zhu_table(args):
-    algebra = parse_module_spec(args.algebra)
+    algebra = args.algebra
     ctx = zhu_context(algebra, args.n, args.depth)
     window_dims = ctx.window.dims_by_depth()
     quotient = ctx.quotient_dims()
@@ -106,8 +162,7 @@ def cmd_zhu_table(args):
 
 
 def cmd_axioms(args):
-    n_values = tuple(int(t) for t in args.n.split(","))
-    config = SuiteConfig(seed=args.seed, n_values=n_values,
+    config = SuiteConfig(seed=args.seed, n_values=args.n,
                          normalize=not args.timestamp)
     report = run_suite(config)
     if args.csv:
@@ -130,11 +185,10 @@ def cmd_axioms(args):
 
 
 def cmd_fusion(args):
-    w1 = parse_module_spec(args.w1)
-    w2 = parse_module_spec(args.w2)
-    w3 = parse_module_spec(args.w3)
-    windows = tuple(int(t) for t in args.window.split(","))
-    payload = fusion_report(w1.algebra, w1, w2, w3, args.n, windows=windows)
+    w1, w2, w3 = args.w1, args.w2, args.w3
+    if not (w1.algebra is w2.algebra is w3.algebra):
+        raise InputError("--w1, --w2 and --w3 must be modules over the same algebra")
+    payload = fusion_report(w1.algebra, w1, w2, w3, args.n, windows=args.window)
     def flat(p):
         return [{"w1": p["type"][0], "w2": p["type"][1], "w3": p["type"][2],
                  "N": p["N"], "window": w, "dim_upper": d,
@@ -145,11 +199,11 @@ def cmd_fusion(args):
 
 
 def cmd_reduce(args):
-    algebra = parse_module_spec(args.algebra)
-    with open(args.element_file) as fh:
-        pairs = json.load(fh)
-    x = pairs_to_vector(algebra, pairs)
+    algebra = args.algebra
+    pairs, x = _read_element(algebra, args.element_file)
     depth = args.depth if args.depth is not None else x.max_depth() + 2 * args.n + 4
+    if x.max_depth() > depth:
+        raise InputError(f"element has depth {x.max_depth()}, beyond --depth {depth}")
     ctx = zhu_context(algebra, args.n, depth)
     reduced = ctx.subspace.reduce(x)
     cert = ctx.membership(x)
@@ -170,30 +224,31 @@ def cmd_reduce(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="voazhu",
         description="Exact level-N Zhu algebra and intertwining-operator checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-identities", help="run the binomial identity families")
-    p.add_argument("--max-n", type=int, default=20)
-    p.add_argument("--max-alt-n", type=int, default=50)
-    p.add_argument("--max-bivariate-n", type=int, default=10)
+    p.add_argument("--max-n", type=_nonneg_int, default=20)
+    p.add_argument("--max-alt-n", type=_nonneg_int, default=50)
+    p.add_argument("--max-bivariate-n", type=_nonneg_int, default=10)
     p.add_argument("--out")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("zhu-table", help="windowed quotient table for an algebra")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--algebra", required=True, type=_algebra)
+    p.add_argument("--n", type=_nonneg_int, default=0)
+    p.add_argument("--depth", type=_nonneg_int, default=8)
     p.add_argument("--out")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_zhu_table)
 
     p = sub.add_parser("axioms", help="run the seeded check suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--n", default="0,1", help="comma separated level values")
+    p.add_argument("--n", type=_int_list, default=(0, 1),
+                   help="comma separated level values")
     p.add_argument("--timestamp", action="store_true",
                    help="include a timestamp (breaks byte reproducibility)")
     p.add_argument("--out")
@@ -201,20 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("fusion", help="fusion dimension upper bounds")
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--w3", required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--window", default="6,8")
+    p.add_argument("--w1", required=True, type=_module)
+    p.add_argument("--w2", required=True, type=_module)
+    p.add_argument("--w3", required=True, type=_module)
+    p.add_argument("--n", type=_nonneg_int, default=0)
+    p.add_argument("--window", type=_int_list, default=(6, 8))
     p.add_argument("--out")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("reduce", help="canonical representative mod the ideal window")
     p.add_argument("element_file")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--algebra", required=True, type=_algebra)
+    p.add_argument("--n", type=_nonneg_int, default=0)
+    p.add_argument("--depth", type=_nonneg_int, default=None)
     p.add_argument("--out")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_reduce)
@@ -222,8 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (InputError, VoazhuError, OSError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basis import BasisVector, GradedVector, accumulate
-from .errors import DepthExceededError
+from .errors import DepthExceededError, WindowOverflowError
 from .formal import ZERO, as_scalar, binom
 from .heisenberg import TAG as HTAG
 from .heisenberg import FockModule, HeisenbergVOA
@@ -277,8 +277,9 @@ def induced_hom(it: LogIntertwiner, N: int, w1: GradedVector,
         for wt2, c2 in w2.homogeneous_components().items():
             for n_idx in range(N + 1):
                 out = out + it.mode(c1, wt1 + wt2 - h3 - n_idx - 1, 0, c2)
-    if __debug__:
-        assert out.max_depth() <= N, "induced map left the bottom slice"
+    if out.max_depth() > N:
+        raise WindowOverflowError(
+            f"induced map left the bottom slice: depth {out.max_depth()} > N = {N}")
     return out
 
 

@@ -6,10 +6,18 @@ gcd strip, so no rational arithmetic happens inside the elimination
 loop.  An optional augmented block tracks how each reduced row is
 assembled from the original input rows, which is what turns a successful
 reduction into an explicit membership witness.
+
+Row and combo dicts are only ever replaced in their lists, never mutated
+once the step that built them has finished: elimination builds a new dict
+and stores it in place of the old one.  Copying the lists is therefore
+enough to fork an echelon form, and the fork and the original share every
+row they have in common (``SparseEchelon.copy``, growing a
+``WindowSubspace``).
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from math import gcd
 
@@ -67,6 +75,13 @@ class SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def copy(self) -> "SparseEchelon":
+        """An independent echelon form that shares this one's row dicts."""
+        new = copy.copy(self)
+        new.rows, new.combos = list(self.rows), list(self.combos)
+        new.pivots, new.input_scale = dict(self.pivots), dict(self.input_scale)
+        return new
 
     def insert(self, row: dict) -> bool:
         """Insert an integer row; returns True if it increased the rank."""
@@ -189,14 +204,27 @@ class WindowSubspace:
     When built from a generator list the echelon form carries combination
     tracking, so positive membership answers come with the exact rational
     combination of generators that reproduces the queried vector.
+
+    ``base`` grows a subspace of a shallower window of the same module onto
+    this one: its generators and echelon rows are taken over and ``base``
+    itself is left unchanged.  The window basis is ordered by depth, so a
+    shallower basis is a prefix of a deeper one and the base's column
+    indices stay valid.
     """
 
-    def __init__(self, window: ModuleWindow, generators=None, track: bool = True):
+    def __init__(self, window: ModuleWindow, generators=None, track: bool = True,
+                 base: "WindowSubspace | None" = None):
         self.window = window
-        # pivot on the deepest columns so the quotient's surviving coset
-        # representatives sit at the bottom of the window
-        self.ech = SparseEchelon(track_combos=track, pivot="max")
-        self.gens: list[GradedVector] = []
+        if base is None:
+            # pivot on the deepest columns so the quotient's surviving coset
+            # representatives sit at the bottom of the window
+            self.ech = SparseEchelon(track_combos=track, pivot="max")
+            self.gens: list[GradedVector] = []
+        else:
+            if base.window.module is not window.module or base.window.depth > window.depth:
+                raise ValueError("a subspace only grows onto a deeper window of its module")
+            self.ech = base.ech.copy()
+            self.gens = list(base.gens)
         if generators:
             for g in generators:
                 self.add_generator(g)

@@ -68,22 +68,40 @@ def pairs_to_vector(module: GenModule, pairs) -> GradedVector:
     return out
 
 
+def _spec_rational(spec: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad module spec {spec!r}: {text!r} is not a rational") from None
+
+
+def _spec_values(spec: str, body: str, keys: tuple) -> list:
+    """The rationals of a spec body of key=value pairs, in the order of keys."""
+    pairs = [p.split("=", 1) for p in body.split(",")]
+    if any(len(p) != 2 for p in pairs) or sorted(p[0] for p in pairs) != sorted(keys):
+        form = ",".join(f"{k}=R" for k in keys)
+        raise ValueError(f"bad module spec {spec!r}: expected {form}")
+    kv = dict(pairs)
+    return [_spec_rational(spec, kv[k]) for k in keys]
+
+
 def parse_module_spec(spec: str) -> GenModule:
     """Parse CLI module notation.
 
     heisenberg | fock:LAMBDA | virasoro:c=C | verma:c=C,h=H
+
+    Anything else, including a value that is not a rational, raises
+    ValueError.
     """
     spec = spec.strip()
     if spec == "heisenberg":
         return heisenberg_voa()
-    if spec.startswith("fock:"):
-        return fock(Fraction(spec.split(":", 1)[1]))
-    if spec.startswith("virasoro:"):
-        body = spec.split(":", 1)[1]
-        kv = dict(p.split("=", 1) for p in body.split(","))
-        return virasoro_voa(Fraction(kv["c"]))
-    if spec.startswith("verma:"):
-        body = spec.split(":", 1)[1]
-        kv = dict(p.split("=", 1) for p in body.split(","))
-        return verma(Fraction(kv["c"]), Fraction(kv["h"]))
-    raise ValueError(f"unknown module spec {spec!r}")
+    kind, _, body = spec.partition(":")
+    if kind == "fock":
+        return fock(_spec_rational(spec, body))
+    if kind == "virasoro":
+        return virasoro_voa(*_spec_values(spec, body, ("c",)))
+    if kind == "verma":
+        return verma(*_spec_values(spec, body, ("c", "h")))
+    raise ValueError(f"unknown module spec {spec!r} (expected heisenberg, fock:LAMBDA, "
+                     "virasoro:c=C or verma:c=C,h=H)")

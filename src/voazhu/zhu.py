@@ -110,31 +110,76 @@ class MembershipCert:
         return 0 if not self.witness else len(self.witness)
 
 
+def verified_cert(subspace: WindowSubspace, labels: list, depth: int,
+                  x: GradedVector) -> MembershipCert:
+    """Certified with a witness only if the witness re-multiplies to x.
+
+    The check runs in every mode, ``python -O`` included: a witness that
+    fails to reproduce x yields Inconclusive, never an unverified Certified.
+    """
+    witness = subspace.witness(x)
+    if witness is None:
+        return MembershipCert(INCONCLUSIVE, depth)
+    rebuilt = subspace.window.module.zero()
+    for i, c in witness.items():
+        rebuilt = rebuilt + subspace.gens[i] * c
+    if rebuilt != x:
+        return MembershipCert(INCONCLUSIVE, depth)
+    return MembershipCert(CERTIFIED, depth, witness, tuple(labels[i] for i in witness))
+
+
+def cached_context(cache: dict, key: tuple, module: GenModule, depth: int, build):
+    """The window cached under (key, depth), else ``build(base)`` cached there.
+
+    ``base`` is the deepest cached window of the same key and module that is
+    shallower than depth, or None; ``build`` grows it to depth.  A window is
+    never answered from a deeper one, so each depth stays the span of exactly
+    its own generators.
+    """
+    ctx = cache.get(key + (depth,))
+    if ctx is not None and ctx.window.module is module:
+        return ctx
+    base = max((c for k, c in cache.items()
+                if k[:-1] == key and c.depth < depth and c.window.module is module),
+               key=lambda c: c.depth, default=None)
+    ctx = cache[key + (depth,)] = build(base)
+    return ctx
+
+
 # --- algebra-side context ------------------------------------------------------
 
 class ZhuContext:
-    """Windowed data for (V, N): the ideal span inside depth <= D."""
+    """Windowed data for (V, N): the ideal span inside depth <= D.
 
-    def __init__(self, algebra: VOAlgebra, N: int, depth: int):
+    ``base``, a context for the same (V, N) at a shallower depth, is grown
+    rather than rebuilt: only the generators that are new at depth D are
+    enumerated and eliminated.  ``base`` itself is left unchanged.
+    """
+
+    def __init__(self, algebra: VOAlgebra, N: int, depth: int,
+                 base: "ZhuContext | None" = None):
         self.algebra = algebra
         self.N = N
         self.depth = depth
         self.window = ModuleWindow(algebra, depth)
-        self.subspace = WindowSubspace(self.window, track=True)
-        self.labels: list[str] = []
-        self._enumerate()
+        self.subspace = WindowSubspace(self.window, track=True,
+                                       base=base.subspace if base else None)
+        self.labels: list[str] = list(base.labels) if base else []
+        self._enumerate(base.depth if base else 0)
 
-    def _enumerate(self) -> None:
+    def _enumerate(self, have: int) -> None:
+        """Add the generators of depth D that the depth-``have`` window lacks."""
         alg, N, D = self.algebra, self.N, self.depth
         # (L(-1) + L(0)) u family: output depth = wt u + 1
-        for a in range(0, D):
+        for a in range(have, D):
             for u_bv in alg.basis_at_depth(a):
                 u = GradedVector(alg, {u_bv: Fraction(1)})
                 self._add(lp_element(alg, u), f"lp[{u_bv}]")
-        # residue family, ordered by (wt u, wt v, n)
+        # residue family, ordered by (wt u, wt v, n); the depth-``have``
+        # window holds those with wt u + wt v + n + 2N <= have
         for a in range(1, D + 1):
             for b in range(0, D - a + 1):
-                for n in range(1, D - a - b - 2 * N + 1):
+                for n in range(max(1, have - a - b - 2 * N + 1), D - a - b - 2 * N + 1):
                     for u_bv in alg.basis_at_depth(a):
                         u = GradedVector(alg, {u_bv: Fraction(1)})
                         for v_bv in alg.basis_at_depth(b):
@@ -157,16 +202,7 @@ class ZhuContext:
         return circ_residue(self.algebra, u, v, self.N, n)
 
     def membership(self, x: GradedVector) -> MembershipCert:
-        witness = self.subspace.witness(x)
-        if witness is None:
-            return MembershipCert(INCONCLUSIVE, self.depth)
-        if __debug__:
-            rebuilt = self.algebra.zero()
-            for i, c in witness.items():
-                rebuilt = rebuilt + self.subspace.gens[i] * c
-            assert rebuilt == x, "membership witness failed to reproduce the vector"
-        labels = tuple(self.labels[i] for i in witness)
-        return MembershipCert(CERTIFIED, self.depth, witness, labels)
+        return verified_cert(self.subspace, self.labels, self.depth, x)
 
     def quotient_dims(self) -> list:
         return self.subspace.quotient_dims_by_depth()
@@ -176,12 +212,15 @@ _context_cache: dict = {}
 
 
 def zhu_context(algebra: VOAlgebra, N: int, depth: int) -> ZhuContext:
-    key = (algebra.module_id, N, depth)
-    ctx = _context_cache.get(key)
-    if ctx is None or ctx.algebra is not algebra:
-        ctx = ZhuContext(algebra, N, depth)
-        _context_cache[key] = ctx
-    return ctx
+    """The cached window of O_N(V) at depth, grown from a shallower one.
+
+    The first request for a depth builds its context from the deepest
+    cached shallower context of (V, N), if any, adding only the new
+    generators.  The result is the span of exactly the depth-D generators,
+    whatever the order of requests.
+    """
+    return cached_context(_context_cache, (algebra.module_id, N), algebra, depth,
+                          lambda base: ZhuContext(algebra, N, depth, base))
 
 
 def certify_membership(algebra: VOAlgebra, N: int, x: GradedVector,

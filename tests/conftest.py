@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -31,3 +32,11 @@ def fock_half(heis):
 @pytest.fixture(scope="session")
 def verma_ising(vir_half):
     return verma("1/2", "1/16")
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports voazhu from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))

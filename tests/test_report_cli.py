@@ -1,6 +1,8 @@
 """Report determinism and the command line surface."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,8 +88,10 @@ def test_parse_module_spec():
     assert parse_module_spec("fock:1/2").module_id == "fock(1/2)"
     assert parse_module_spec("virasoro:c=1/2").module_id == "vir(c=1/2)"
     assert parse_module_spec("verma:c=1/2,h=1/16").module_id == "verma(c=1/2,h=1/16)"
-    with pytest.raises(ValueError):
-        parse_module_spec("lattice:A1")
+    for bad in ("lattice:A1", "virasoro:c=abc", "virasoro:", "virasoro:c=1/0",
+                "verma:c=1", "fock:x"):
+        with pytest.raises(ValueError):
+            parse_module_spec(bad)
 
 
 def test_cli_verify_identities(tmp_path, capsys):
@@ -151,3 +155,58 @@ def test_cli_axioms_quick(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert set(payload["summary"]["counts"]) <= {"pass", "certified"}
+
+
+BAD_ELEMENTS = {
+    "missing": None,
+    "malformed": '[["a(-1)", "1"',
+    "not_pairs": '{"a(-1)": "1"}',
+    "bad_coefficient": '[["a(-1)", "x"]]',
+    "zero_denominator": '[["a(-1)", "1/0"]]',
+    "unknown_generator": '[["b(-1)", "1"]]',
+}
+
+
+def _bad_input_runs(tmp_path):
+    elem = tmp_path / "elem.json"
+    elem.write_text(json.dumps([["a(-2)", "1"], ["a(-1)", "1"]]))
+    runs = {
+        "virasoro_bad_c": ["zhu-table", "--algebra", "virasoro:c=abc"],
+        "unknown_spec": ["zhu-table", "--algebra", "nonsense"],
+        "module_as_algebra": ["zhu-table", "--algebra", "fock:1"],
+        "reduce_module_as_algebra": ["reduce", str(elem), "--algebra", "fock:1"],
+        "axioms_bad_levels": ["axioms", "--n", "x"],
+        "fusion_bad_window": ["fusion", "--w1", "fock:1", "--w2", "fock:2",
+                              "--w3", "fock:3", "--window", "a"],
+        "negative_depth": ["zhu-table", "--algebra", "heisenberg", "--depth", "-1"],
+        "depth_below_element": ["reduce", str(elem), "--algebra", "heisenberg",
+                                "--depth", "1"],
+    }
+    for name, text in BAD_ELEMENTS.items():
+        path = tmp_path / f"{name}.json"
+        if text is not None:
+            path.write_text(text)
+        runs[f"element_{name}"] = ["reduce", str(path), "--algebra", "heisenberg"]
+    return runs
+
+
+def test_cli_bad_input_fails_cleanly(tmp_path, capsys):
+    """Every bad input exits with code 2 and a one-line message on stderr."""
+    for name, argv in _bad_input_runs(tmp_path).items():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, name
+        assert captured.out == "", name
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], (name, captured.err)
+
+
+def test_cli_bad_input_prints_no_traceback(tmp_path, src_env):
+    runs = _bad_input_runs(tmp_path)
+    for name in ("virasoro_bad_c", "element_bad_coefficient", "depth_below_element"):
+        proc = subprocess.run([sys.executable, "-m", "voazhu.cli", *runs[name]],
+                              capture_output=True, text=True, env=src_env, timeout=120)
+        assert proc.returncode == 2, name
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
