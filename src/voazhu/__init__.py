@@ -6,8 +6,7 @@ Everything is exact rational arithmetic; identity checks either hold on
 the nose or come back with a counterexample vector.
 """
 
-from .formal import (BivariatePoly, LaurentPoly, Scalar, TruncSeries, binom,
-                     binom_expand, residue)
+from .formal import BivariatePoly, LaurentPoly, Scalar, binom, residue
 from .identities import (alternating_binomial_sum,
                          verify_bivariate_binomial_cancellation,
                          verify_telescoping_binomial_sum)
@@ -18,9 +17,9 @@ from .virasoro import VermaModule, VirasoroVOA
 from .ops import (commutator_check, contragredient_pairing_check, DualVector,
                   l0s_conjugation_check, l0s_split, opposite_mode, ywv_mode)
 from .linalg import ModuleWindow, SparseEchelon, WindowSubspace, kernel_basis
-from .zhu import (MembershipCert, ZhuContext, certify_membership, circ_residue,
-                  lp_element, o_action, omega0_basis, omega_subspace,
-                  star_product, zhu_context)
+from .zhu import (IdealWindow, MembershipCert, ZhuContext, certify,
+                  certify_membership, circ_residue, lp_element, o_action,
+                  omega0_basis, omega_subspace, star_product, zhu_context)
 from .bimodule import (BimoduleContext, action_swap_defect, bimodule_context,
                        certify_bimodule_membership, check_axiom,
                        check_bimodule_axioms, circ_w, circ_wv,
@@ -30,7 +29,7 @@ from .bimodule import (BimoduleContext, action_swap_defect, bimodule_context,
 from .intertwiner import (FockIntertwiner, LogIntertwiner, TableIntertwiner,
                           check_derivative_rule, check_hom_properties,
                           fusion_dim, fusion_report, induced_hom, y0_part)
-from .errors import (DepthExceededError, UnderdeterminedError,
-                     UnknownGeneratorError, VoazhuError, WindowOverflowError)
+from .errors import (DepthExceededError, UnknownGeneratorError, VoazhuError,
+                     WindowOverflowError)
 
 __version__ = "0.1.0"

@@ -15,33 +15,18 @@ vectors and ask for a witness.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .basis import GradedVector, accumulate
-from .formal import binom
-from .linalg import ModuleWindow, WindowSubspace
-from .modules import GenModule, VOAlgebra
+from .basis import GradedVector
+from .modules import GenModule
 from .ops import ywv_mode
-from .zhu import (MembershipCert, cached_context, circ_residue, lp_element,
-                  star_product, verified_cert, weighted_residue_modes)
+from .zhu import (BIMODULE_FAMILIES, IdealWindow, MembershipCert, cached_context,
+                  certify, circ_residue, lp_element, residue_sum, star_product,
+                  weighted_residue_modes)
 
 
 def weighted_residue_ywv(module: GenModule, w: GradedVector, u: GradedVector,
                          binom_exponent_offset, x_power: int) -> GradedVector:
     """Res_x x^(x_power) Y_WV((1+x)^(L(0)_s + offset) w, x) u, exactly."""
-    acc: dict = {}
-    for wt, comp in w.homogeneous_components().items():
-        a = wt + binom_exponent_offset
-        j_top = module.mode_vanishing_bound(u, comp) - x_power
-        for j in range(0, max(0, j_top)):
-            c = binom(a, j)
-            if c == 0:
-                continue
-            term = ywv_mode(module, comp, j + x_power, u)
-            if term.is_zero():
-                continue
-            accumulate(acc, term, c)
-    return GradedVector(module, acc)
+    return weighted_residue_modes(module, w, u, binom_exponent_offset, x_power, ywv_mode)
 
 
 def left_star(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> GradedVector:
@@ -51,21 +36,12 @@ def left_star(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> Gr
 
 def right_star(module: GenModule, w: GradedVector, u: GradedVector, N: int) -> GradedVector:
     """w *_N u (right action, through the module-to-algebra operator)."""
-    out = module.zero()
-    for m in range(N + 1):
-        c = Fraction((-1) ** m) * binom(Fraction(m + N), N)
-        out = out + weighted_residue_ywv(module, w, u, N, -N - m - 1) * c
-    return out
+    return residue_sum(module, w, u, N, mode=ywv_mode)
 
 
 def right_star_alt(module: GenModule, w: GradedVector, u: GradedVector, N: int) -> GradedVector:
     """The alternative right action w *_N' u, using only Y_W modes."""
-    out = module.zero()
-    sign = Fraction((-1) ** N)
-    for m in range(N + 1):
-        c = sign * binom(Fraction(m + N), N)
-        out = out + weighted_residue_modes(module, u, w, m - 1, -N - m - 1) * c
-    return out
+    return residue_sum(module, u, w, N, primed=True)
 
 
 def circ_w(module: GenModule, u: GradedVector, w: GradedVector, N: int,
@@ -84,87 +60,16 @@ def circ_wv(module: GenModule, w: GradedVector, u: GradedVector, N: int,
     return weighted_residue_ywv(module, w, u, N + q, -2 * N - 2 - p)
 
 
-class BimoduleContext:
-    """Windowed O_N(W) data for a module W over its algebra.
-
-    ``families`` chooses which spanning families are enumerated: "lp" for
-    the (L(-1) + L(0)_s) w elements and "circ" for the residue elements
-    u o_N w.  The full quotient uses both; the ideal that the induced map
-    of an intertwining operator provably kills is the "circ" span alone
-    (the lowest-weight family is *not* killed in general; see the
-    discrepancy notes in the tests).
-
-    ``base``, a context for the same (W, N, families) at a shallower depth,
-    is grown rather than rebuilt, as for ``ZhuContext``.
-    """
-
-    def __init__(self, module: GenModule, N: int, depth: int,
-                 families: tuple = ("lp", "circ"),
-                 base: "BimoduleContext | None" = None):
-        self.module = module
-        self.algebra: VOAlgebra = module.algebra
-        self.N = N
-        self.depth = depth
-        self.families = tuple(families)
-        self.window = ModuleWindow(module, depth)
-        self.subspace = WindowSubspace(self.window, track=True,
-                                       base=base.subspace if base else None)
-        self.labels: list[str] = list(base.labels) if base else []
-        self._enumerate(base.depth if base else 0)
-
-    def _enumerate(self, have: int) -> None:
-        """Add the generators of depth D that the depth-``have`` window lacks."""
-        mod, alg, N, D = self.module, self.algebra, self.N, self.depth
-        if "lp" in self.families:
-            for b in range(have, D):
-                for w_bv in mod.basis_at_depth(b):
-                    w = GradedVector(mod, {w_bv: Fraction(1)})
-                    self._add(lp_element(mod, w), f"lp[{w_bv}]")
-        if "circ" not in self.families:
-            return
-        for a in range(1, D - 2 * N):
-            # u o_N w tops out at depth wt u + depth w + 2N + 1, so the
-            # depth-``have`` window holds those with depth w < have - wt u - 2N
-            for b in range(max(0, have - a - 2 * N), D - a - 2 * N):
-                for u_bv in alg.basis_at_depth(a):
-                    u = GradedVector(alg, {u_bv: Fraction(1)})
-                    for w_bv in mod.basis_at_depth(b):
-                        w = GradedVector(mod, {w_bv: Fraction(1)})
-                        self._add(circ_w(mod, u, w, N), f"circ[{u_bv};{w_bv}]")
-
-    def _add(self, gv: GradedVector, label: str) -> None:
-        self.subspace.add_generator(gv)
-        self.labels.append(label)
-
-    def membership(self, x: GradedVector) -> MembershipCert:
-        return verified_cert(self.subspace, self.labels, self.depth, x)
-
-    # window-checked action shorthands -------------------------------------
-
-    def left(self, u: GradedVector, w: GradedVector) -> GradedVector:
-        out = left_star(self.module, u, w, self.N)
-        self.window.row_of(out)
-        return out
-
-    def right(self, w: GradedVector, u: GradedVector) -> GradedVector:
-        out = right_star(self.module, w, u, self.N)
-        self.window.row_of(out)
-        return out
-
-    def right_alt(self, w: GradedVector, u: GradedVector) -> GradedVector:
-        out = right_star_alt(self.module, w, u, self.N)
-        self.window.row_of(out)
-        return out
-
-    def quotient_dims(self) -> list:
-        return self.subspace.quotient_dims_by_depth()
+class BimoduleContext(IdealWindow):
+    """The window of O_N(W) for a module W (``BIMODULE_FAMILIES``), or of
+    the span of some of its families."""
 
 
 _bimodule_cache: dict = {}
 
 
 def bimodule_context(module: GenModule, N: int, depth: int,
-                     families: tuple = ("lp", "circ")) -> BimoduleContext:
+                     families: tuple = BIMODULE_FAMILIES) -> BimoduleContext:
     """The cached window of O_N(W) at depth, grown from a shallower one.
 
     As ``zhu_context``: the first request for a depth grows the deepest
@@ -184,12 +89,8 @@ def intertwiner_ideal_context(module: GenModule, N: int, depth: int) -> Bimodule
 
 def certify_bimodule_membership(module: GenModule, N: int, x: GradedVector,
                                 depth: int, retries=(2, 4)) -> MembershipCert:
-    cert = bimodule_context(module, N, depth).membership(x)
-    for extra in retries:
-        if cert.certified:
-            return cert
-        cert = bimodule_context(module, N, depth + extra).membership(x)
-    return cert
+    """Membership in O_N(W), escalating the window on Inconclusive."""
+    return certify(lambda d: bimodule_context(module, N, d), x, depth, retries)[0]
 
 
 # --- assembled congruence checks ---------------------------------------------
@@ -205,12 +106,7 @@ def action_swap_defect(module: GenModule, u: GradedVector, w: GradedVector,
     """
     if mirrored:
         return right_star(module, w, u, N) - right_star_alt(module, w, u, N)
-    out = left_star(module, u, w, N)
-    sign = Fraction((-1) ** N)
-    for m in range(N + 1):
-        c = sign * binom(Fraction(m + N), N)
-        out = out - weighted_residue_ywv(module, w, u, m - 1, -N - m - 1) * c
-    return out
+    return left_star(module, u, w, N) - residue_sum(module, w, u, N, primed=True, mode=ywv_mode)
 
 
 def deep_residue_element(module: GenModule, u: GradedVector, w: GradedVector,

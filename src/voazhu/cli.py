@@ -26,14 +26,13 @@ import json
 import sys
 from fractions import Fraction
 
+from .basis import GradedVector
 from .errors import VoazhuError
-from .identities import (alternating_binomial_sum,
-                         verify_bivariate_binomial_cancellation,
-                         verify_telescoping_binomial_sum)
+from .identities import check_identity_families
 from .intertwiner import fusion_report
 from .report import SuiteConfig, report_json, run_suite
 from .serialize import pairs_to_vector, parse_module_spec, vector_to_pairs
-from .zhu import zhu_context
+from .zhu import lp_element, zhu_context
 
 
 class InputError(Exception):
@@ -81,9 +80,7 @@ def _read_element(algebra, path: str):
                         for p in pairs)):
             raise ValueError("expected a JSON list of [monomial, coefficient] pairs")
         return pairs, pairs_to_vector(algebra, pairs)
-    except ZeroDivisionError:
-        raise InputError(f"element file {path}: a coefficient has denominator 0") from None
-    except (OSError, ValueError, TypeError, VoazhuError) as exc:
+    except (OSError, ValueError, VoazhuError) as exc:
         raise InputError(f"element file {path}: {exc}") from None
 
 
@@ -106,21 +103,10 @@ def _emit(payload, args, flatten_rows=None):
 
 
 def cmd_verify_identities(args):
-    entries = []
-    ok = True
-    for n in range(args.max_n + 1):
-        good = verify_telescoping_binomial_sum(n)
-        ok &= good
-        entries.append({"family": "telescoping_sum", "N": n, "pass": good})
-    for n in range(args.max_alt_n + 1):
-        good = all(alternating_binomial_sum(n, i) == (1 if i == 0 else 0)
-                   for i in range(n + 1))
-        ok &= good
-        entries.append({"family": "alternating_sum", "N": n, "pass": good})
-    for n in range(args.max_bivariate_n + 1):
-        good = verify_bivariate_binomial_cancellation(n)
-        ok &= good
-        entries.append({"family": "bivariate_cancellation", "N": n, "pass": good})
+    entries = [{"family": family, "N": n, "pass": ok}
+               for family, n, ok, _ in check_identity_families(
+                   args.max_n, args.max_alt_n, args.max_bivariate_n)]
+    ok = all(e["pass"] for e in entries)
     payload = {"all_pass": ok, "entries": entries}
     _emit(payload, args, flatten_rows=lambda p: p["entries"])
     return 0 if ok else 1
@@ -132,10 +118,8 @@ def cmd_zhu_table(args):
     window_dims = ctx.window.dims_by_depth()
     quotient = ctx.quotient_dims()
     certs = []
-    from .zhu import lp_element
     for d in range(min(args.depth, 3)):
         for bv in algebra.basis_at_depth(d):
-            from .basis import GradedVector
             u = GradedVector(algebra, {bv: Fraction(1)})
             x = lp_element(algebra, u)
             if x.max_depth() > args.depth:

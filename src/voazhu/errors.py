@@ -5,10 +5,6 @@ class VoazhuError(Exception):
     """Base class for all package-specific failures."""
 
 
-class UnderdeterminedError(VoazhuError):
-    """A series coefficient was requested beyond the truncation order."""
-
-
 class UnknownGeneratorError(VoazhuError):
     """A vector references a generator the module has no action rule for."""
 

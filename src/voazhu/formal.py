@@ -1,17 +1,12 @@
-"""Exact formal calculus: rationals, Laurent polynomials, truncated series.
+"""Exact formal calculus: rationals, binomials and Laurent polynomials.
 
 Everything here is immutable after construction and exact; there is no
-floating point anywhere in this package.  A ``TruncSeries`` distinguishes
-"coefficient is zero" from "coefficient is unknown beyond the truncation
-order": reading past the order raises instead of silently returning 0,
-because a silent zero would corrupt residue extraction.
+floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import UnderdeterminedError
 
 Scalar = Fraction
 
@@ -138,117 +133,13 @@ class LaurentPoly:
 def binom_poly(a: int, var: str = "x") -> LaurentPoly:
     """(1+x)**a for a *nonnegative integer* a, as an exact Laurent polynomial."""
     if a < 0:
-        raise ValueError("binom_poly needs a >= 0; use binom_expand for general exponents")
+        raise ValueError("binom_poly needs a >= 0")
     return LaurentPoly({j: binom(a, j) for j in range(a + 1)}, var=var)
 
 
-class TruncSeries:
-    """Laurent series known exactly up to (and including) ``truncation_order``.
-
-    Coefficients at exponents above the order are *unknown*, not zero;
-    asking for one raises :class:`UnderdeterminedError`.  Arithmetic tracks
-    the tightest truncation order valid for the result.
-    """
-
-    __slots__ = ("coeffs", "lowest_exponent", "truncation_order", "var")
-
-    def __init__(self, coeffs, lowest_exponent: int, truncation_order: int, var: str = "x"):
-        if truncation_order < lowest_exponent - 1:
-            # allow the "empty window" degenerate case exactly one notch below
-            raise ValueError("truncation_order below lowest_exponent")
-        raw = {int(e): as_scalar(c) for e, c in dict(coeffs).items()}
-        for e in raw:
-            if not (lowest_exponent <= e <= truncation_order):
-                raise ValueError(f"stored exponent {e} outside [{lowest_exponent}, {truncation_order}]")
-        self.coeffs = _clean(raw)
-        self.lowest_exponent = lowest_exponent
-        self.truncation_order = truncation_order
-        self.var = var
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly, truncation_order: int) -> "TruncSeries":
-        low = min(p.coeffs) if p.coeffs else 0
-        keep = {e: c for e, c in p.coeffs.items() if e <= truncation_order}
-        return cls(keep, min(low, truncation_order), truncation_order, var=p.var)
-
-    def coefficient(self, exponent: int) -> Fraction:
-        if exponent > self.truncation_order:
-            raise UnderdeterminedError(
-                f"coefficient of {self.var}^{exponent} beyond truncation order {self.truncation_order}"
-            )
-        return self.coeffs.get(exponent, ZERO)
-
-    def residue(self) -> Fraction:
-        return self.coefficient(-1)
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        order = min(self.truncation_order, other.truncation_order)
-        low = min(self.lowest_exponent, other.lowest_exponent)
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            if e <= order:
-                out[e] = out.get(e, ZERO) + c
-        for e, c in other.coeffs.items():
-            if e <= order:
-                out[e] = out.get(e, ZERO) + c
-        return TruncSeries(out, low, order, var=self.var)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries({e: -c for e, c in self.coeffs.items()},
-                           self.lowest_exponent, self.truncation_order, var=self.var)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            # c_e of the product is fully determined iff every split e = e1+e2
-            # with e1, e2 in the known windows has both factors known:
-            order = min(self.truncation_order + other.lowest_exponent,
-                        other.truncation_order + self.lowest_exponent)
-            low = self.lowest_exponent + other.lowest_exponent
-            out: dict = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    if e <= order:
-                        out[e] = out.get(e, ZERO) + c1 * c2
-            return TruncSeries(out, low, order, var=self.var)
-        if isinstance(other, LaurentPoly):
-            return self * TruncSeries.from_poly(
-                other, (max(other.coeffs) if other.coeffs else 0))
-        c = as_scalar(other)
-        return TruncSeries({e: c0 * c for e, c0 in self.coeffs.items()},
-                           self.lowest_exponent, self.truncation_order, var=self.var)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "TruncSeries":
-        return TruncSeries({e + k: c for e, c in self.coeffs.items()},
-                           self.lowest_exponent + k, self.truncation_order + k, var=self.var)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncSeries):
-            return (self.coeffs == other.coeffs
-                    and self.truncation_order == other.truncation_order)
-        return NotImplemented
-
-    def __repr__(self):
-        body = repr(LaurentPoly(self.coeffs, var=self.var))
-        return f"{body} + O({self.var}^{self.truncation_order + 1})"
-
-
-def binom_expand(a, trunc: int, var: str = "x") -> TruncSeries:
-    """(1+x)**a as a truncated binomial series, exact through x**trunc."""
-    if trunc < 0:
-        raise ValueError("binom_expand: trunc must be >= 0")
-    a = as_scalar(a)
-    return TruncSeries({j: binom(a, j) for j in range(trunc + 1)}, 0, trunc, var=var)
-
-
 def residue(s) -> Fraction:
-    """Coefficient of x**(-1); raises on an underdetermined TruncSeries."""
-    if isinstance(s, (LaurentPoly, TruncSeries)):
+    """Coefficient of x**(-1) of a Laurent polynomial."""
+    if isinstance(s, LaurentPoly):
         return s.residue()
     raise TypeError(f"residue: unsupported operand {type(s).__name__}")
 

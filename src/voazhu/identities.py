@@ -73,3 +73,20 @@ def alternating_binomial_sum(n: int, i: int) -> Fraction:
     for m in range(i + 1):
         total += binom(Fraction(m + n), n) * binom(Fraction(-n - m - 1), i - m)
     return total
+
+
+def check_identity_families(max_n: int, max_alt_n: int, max_bivariate_n: int):
+    """Yield (family, N, ok, extra) for N = 0..max of each family in turn.
+
+    The families are the telescoping sums, the alternating sums (every i in
+    0..N; ``extra`` lists the failing ones as ``failed_i``) and the
+    bivariate cancellations; ``extra`` is empty for the other two.
+    """
+    for n in range(max_n + 1):
+        yield "telescoping_sum", n, verify_telescoping_binomial_sum(n), {}
+    for n in range(max_alt_n + 1):
+        bad = [i for i in range(n + 1)
+               if alternating_binomial_sum(n, i) != (1 if i == 0 else 0)]
+        yield "alternating_sum", n, not bad, {"failed_i": bad}
+    for n in range(max_bivariate_n + 1):
+        yield "bivariate_cancellation", n, verify_bivariate_binomial_cancellation(n), {}

@@ -201,9 +201,9 @@ class ModuleWindow:
 class WindowSubspace:
     """A row-reduced subspace of a module window, with optional witnesses.
 
-    When built from a generator list the echelon form carries combination
-    tracking, so positive membership answers come with the exact rational
-    combination of generators that reproduces the queried vector.
+    With ``track`` the echelon form carries combination tracking, so
+    positive membership answers come with the exact rational combination of
+    generators that reproduces the queried vector.
 
     ``base`` grows a subspace of a shallower window of the same module onto
     this one: its generators and echelon rows are taken over and ``base``
@@ -212,7 +212,7 @@ class WindowSubspace:
     indices stay valid.
     """
 
-    def __init__(self, window: ModuleWindow, generators=None, track: bool = True,
+    def __init__(self, window: ModuleWindow, track: bool = True,
                  base: "WindowSubspace | None" = None):
         self.window = window
         if base is None:
@@ -225,9 +225,6 @@ class WindowSubspace:
                 raise ValueError("a subspace only grows onto a deeper window of its module")
             self.ech = base.ech.copy()
             self.gens = list(base.gens)
-        if generators:
-            for g in generators:
-                self.add_generator(g)
 
     def add_generator(self, gv: GradedVector) -> bool:
         self.gens.append(gv)

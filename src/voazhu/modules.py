@@ -229,15 +229,6 @@ class VOAlgebra(GenModule):
         return module.mode_action(self.omega(), k + 1, w)
 
 
-def module_weight(gv: GradedVector) -> Fraction:
-    return gv.weight()
-
-
-def homogeneous_pieces(gv: GradedVector):
-    """Iterate (weight, component) pairs of a vector, lowest weight first."""
-    return sorted(gv.homogeneous_components().items())
-
-
 def basis_window(module: GenModule, depth: int) -> list:
     """All basis monomials of depth 0..depth in canonical order."""
     out = []

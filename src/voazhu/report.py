@@ -19,17 +19,14 @@ from . import __version__
 from .basis import GradedVector
 from .bimodule import (AXIOM_IDS, axiom_defect, axiom_window_depth,
                        bimodule_context, circ_w)
-from .errors import WindowOverflowError
-from .identities import (alternating_binomial_sum,
-                         verify_bivariate_binomial_cancellation,
-                         verify_telescoping_binomial_sum)
+from .identities import check_identity_families
 from .instances import fock, heisenberg_voa, verma, virasoro_voa
 from .intertwiner import (FockIntertwiner, check_derivative_rule,
                           check_hom_properties, fusion_report, induced_hom)
 from .ops import commutator_check
 from .sampling import SampleStream
 from .serialize import vector_to_pairs
-from .zhu import o_action, omega0_basis, star_product, zhu_context
+from .zhu import certify, o_action, omega0_basis, star_product, zhu_context
 
 CHECK_DESCRIPTIONS = {
     "telescoping_sum": "sum_m C(m+N,N)[(-1)^m (1+x)^(N+1) - (-1)^N (1+x)^m] x^-(N+m+1) = 1",
@@ -124,20 +121,9 @@ def _bimodule_instances(config: SuiteConfig):
 
 
 def run_identities(config: SuiteConfig, rep: _Reporter) -> None:
-    for n in range(config.identity_max_n + 1):
-        ok = verify_telescoping_binomial_sum(n)
-        rep.add("exact-formal", "telescoping_sum", {"N": n}, "pass" if ok else "fail")
-    for n in range(config.alt_sum_max_n + 1):
-        bad = []
-        for i in range(n + 1):
-            val = alternating_binomial_sum(n, i)
-            if val != (1 if i == 0 else 0):
-                bad.append(i)
-        rep.add("exact-formal", "alternating_sum", {"N": n},
-                "pass" if not bad else "fail", failed_i=bad)
-    for n in range(config.bivariate_max_n + 1):
-        ok = verify_bivariate_binomial_cancellation(n)
-        rep.add("exact-formal", "bivariate_cancellation", {"N": n}, "pass" if ok else "fail")
+    for family, n, ok, extra in check_identity_families(
+            config.identity_max_n, config.alt_sum_max_n, config.bivariate_max_n):
+        rep.add("exact-formal", family, {"N": n}, "pass" if ok else "fail", **extra)
 
 
 def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
@@ -179,31 +165,6 @@ def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
             rep.add("voa-core", "weight_bookkeeping", inputs, "pass" if wb_ok else "fail")
 
 
-def _membership_or_inconclusive(ctx, x):
-    """Vectors that do not even fit in the window are trivially unresolved."""
-    try:
-        return ctx.membership(x)
-    except WindowOverflowError:
-        from .zhu import INCONCLUSIVE, MembershipCert
-        return MembershipCert(INCONCLUSIVE, ctx.depth)
-
-
-def _certify_capped(algebra, N, x, depth, config: SuiteConfig):
-    windows = [min(depth, config.window_cap)]
-    for extra in config.retries:
-        windows.append(min(depth + extra, config.window_cap))
-    tried = []
-    cert = None
-    for wdepth in windows:
-        if tried and wdepth <= tried[-1]:
-            continue
-        tried.append(wdepth)
-        cert = _membership_or_inconclusive(zhu_context(algebra, N, wdepth), x)
-        if cert.certified:
-            break
-    return cert, tried
-
-
 def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 1)
     for alg in _algebras(config):
@@ -226,7 +187,8 @@ def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
                 ]
                 for check_id, defect, depth in checks:
                     depth = max(depth, defect.max_depth())
-                    cert, tried = _certify_capped(alg, N, defect, depth, config)
+                    cert, tried = certify(lambda d: zhu_context(alg, N, d), defect, depth,
+                                          config.retries, config.window_cap)
                     inputs = {"algebra": alg.module_id, "N": N, "u": _vec_repr(u),
                               "v": _vec_repr(v), "w": _vec_repr(w), "check": check_id}
                     rep.add("zhu-quotient", check_id, inputs, cert.status,
@@ -280,17 +242,8 @@ def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
                     depth = max(axiom_window_depth(module, axiom_id, u, v, w, N,
                                                    config.window_margin),
                                 defect.max_depth())
-                    tried = []
-                    cert = None
-                    for wdepth in [min(depth, config.window_cap)] + [
-                            min(depth + e, config.window_cap) for e in config.retries]:
-                        if tried and wdepth <= tried[-1]:
-                            continue
-                        tried.append(wdepth)
-                        cert = _membership_or_inconclusive(
-                            bimodule_context(module, N, wdepth), defect)
-                        if cert.certified:
-                            break
+                    cert, tried = certify(lambda d: bimodule_context(module, N, d), defect,
+                                          depth, config.retries, config.window_cap)
                     inputs = dict(inputs_base, axiom=axiom_id)
                     rep.add("an-bimodule", axiom_id, inputs, cert.status,
                             windows_tried=tried, witness_size=cert.witness_size())

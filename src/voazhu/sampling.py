@@ -20,14 +20,13 @@ class SampleStream:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
-    def depth(self, max_depth: int, weights=None) -> int:
+    def depth(self, max_depth: int) -> int:
         """A depth in [0, max_depth]; mildly biased toward shallow picks.
 
         Selection runs on integer cumulative weights, keeping the stream
         free of floating point entirely.
         """
-        if weights is None:
-            weights = [max_depth + 1 - d for d in range(max_depth + 1)]
+        weights = [max_depth + 1 - d for d in range(max_depth + 1)]
         total = sum(weights)
         pick = self.rng.randrange(total)
         acc = 0

@@ -61,10 +61,19 @@ def vector_to_pairs(gv: GradedVector) -> list:
             for bv, c in sorted(gv.terms.items(), key=lambda t: sort_key(t[0]))]
 
 
+def _coefficient(coeff) -> Fraction:
+    try:
+        return as_scalar(coeff)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"bad coefficient {coeff!r}: expected an integer or a "
+                         "rational string with a nonzero denominator") from None
+
+
 def pairs_to_vector(module: GenModule, pairs) -> GradedVector:
+    """The vector sum of coefficient * monomial; bad input raises ValueError."""
     out = module.zero()
     for mono, coeff in pairs:
-        out = out + GradedVector(module, {parse_monomial(module, mono): as_scalar(coeff)})
+        out = out + GradedVector(module, {parse_monomial(module, mono): _coefficient(coeff)})
     return out
 
 

@@ -1,4 +1,4 @@
-"""The level-N product on V, the ideal window, and the bottom-slice modules.
+"""The level-N product, the ideal window of O_N, and the bottom-slice modules.
 
 For a vertex operator algebra V and N >= 0 the product is
 
@@ -6,7 +6,8 @@ For a vertex operator algebra V and N >= 0 the product is
               Res_x x^(-N-m-1) Y((1+x)^(L(0)+N) u, x) v,
 
 and the ideal O_N(V) is spanned by Res_x x^(-2N-1-n) Y((1+x)^(L(0)+N) u, x) v
-for n >= 1 together with (L(-1) + L(0)) u.  The quotient is generally
+for n >= 1 together with (L(-1) + L(0)) u; for a module W, O_N(W) keeps the
+n = 1 residues and (L(-1) + L(0)_s) w.  The quotient is generally
 infinite dimensional, so all ideal computations happen inside a finite
 weight window: generators that fit entirely inside the window are
 enumerated and row-reduced, giving a *sound* inner approximation.
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import GradedVector, accumulate
+from .errors import WindowOverflowError
 from .formal import binom
 from .linalg import ModuleWindow, WindowSubspace, kernel_basis
 from .modules import GenModule, VOAlgebra, basis_window
@@ -30,12 +32,14 @@ from .modules import GenModule, VOAlgebra, basis_window
 # --- residue expansions ------------------------------------------------------
 
 def weighted_residue_modes(module: GenModule, u: GradedVector, w: GradedVector,
-                           binom_exponent_offset, x_power: int) -> GradedVector:
+                           binom_exponent_offset, x_power: int,
+                           mode=None) -> GradedVector:
     """Res_x x^(x_power) Y((1+x)^(L(0)_s + offset) u, x) w, expanded exactly.
 
-    u must be an algebra vector; the (1+x) exponent applied to a weight-d
-    component of u is d + offset.  Unfolds to
-    sum_j C(d + offset, j) Y_(j + x_power)(u_d) w.
+    The (1+x) exponent applied to a weight-d component of u is d + offset.
+    Unfolds to sum_j C(d + offset, j) Y_(j + x_power)(u_d) w, where the mode
+    Y_k(u_d) w is ``mode(module, u_d, k, w)``; without ``mode`` it is the
+    module's own vertex operator, ``module.mode_action(u_d, k, w)``.
     """
     acc: dict = {}
     for wt, comp in u.homogeneous_components().items():
@@ -45,20 +49,35 @@ def weighted_residue_modes(module: GenModule, u: GradedVector, w: GradedVector,
             c = binom(a, j)
             if c == 0:
                 continue
-            term = module.mode_action(comp, j + x_power, w)
+            if mode is None:
+                term = module.mode_action(comp, j + x_power, w)
+            else:
+                term = mode(module, comp, j + x_power, w)
             if term.is_zero():
                 continue
             accumulate(acc, term, c)
     return GradedVector(module, acc)
 
 
-def star_product(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> GradedVector:
-    """u *_N w with u in the algebra and w in the module (left action)."""
+def residue_sum(module: GenModule, u: GradedVector, w: GradedVector, N: int,
+                primed: bool = False, mode=None) -> GradedVector:
+    """sum_{m=0}^{N} s_m C(m+N, N) Res_x x^(-N-m-1) Y((1+x)^(L(0)_s + e_m) u, x) w.
+
+    s_m = (-1)^m and e_m = N give the product u *_N w; ``primed`` takes
+    s_m = (-1)^N and e_m = m - 1, the shape of the alternative right action
+    *_N'.  ``mode`` picks the vertex operator, as in ``weighted_residue_modes``.
+    """
     out = module.zero()
     for m in range(N + 1):
-        c = Fraction((-1) ** m) * binom(Fraction(m + N), N)
-        out = out + weighted_residue_modes(module, u, w, N, -N - m - 1) * c
+        sign, offset = ((-1) ** N, m - 1) if primed else ((-1) ** m, N)
+        c = Fraction(sign) * binom(Fraction(m + N), N)
+        out = out + weighted_residue_modes(module, u, w, offset, -N - m - 1, mode) * c
     return out
+
+
+def star_product(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> GradedVector:
+    """u *_N w with u in the algebra and w in the module (left action)."""
+    return residue_sum(module, u, w, N)
 
 
 def circ_residue(module: GenModule, u: GradedVector, w: GradedVector,
@@ -110,22 +129,124 @@ class MembershipCert:
         return 0 if not self.witness else len(self.witness)
 
 
-def verified_cert(subspace: WindowSubspace, labels: list, depth: int,
-                  x: GradedVector) -> MembershipCert:
-    """Certified with a witness only if the witness re-multiplies to x.
+def certify(context, x: GradedVector, depth: int, retries=(2, 4), cap=None):
+    """Ask the windows ``context(d)`` for d = depth, then depth + r for r in retries.
 
-    The check runs in every mode, ``python -O`` included: a witness that
-    fails to reproduce x yields Inconclusive, never an unverified Certified.
+    Each depth is lowered to ``cap`` when one is given, and a depth no deeper
+    than the last one tried is skipped.  A window that x overflows answers
+    Inconclusive at its depth.  Stops at the first Certified and returns
+    (cert, depths tried).
     """
-    witness = subspace.witness(x)
-    if witness is None:
-        return MembershipCert(INCONCLUSIVE, depth)
-    rebuilt = subspace.window.module.zero()
-    for i, c in witness.items():
-        rebuilt = rebuilt + subspace.gens[i] * c
-    if rebuilt != x:
-        return MembershipCert(INCONCLUSIVE, depth)
-    return MembershipCert(CERTIFIED, depth, witness, tuple(labels[i] for i in witness))
+    tried, cert = [], None
+    for d in (depth, *(depth + r for r in retries)):
+        if cap is not None:
+            d = min(d, cap)
+        if tried and d <= tried[-1]:
+            continue
+        tried.append(d)
+        window = context(d)
+        try:
+            cert = window.membership(x)
+        except WindowOverflowError:
+            cert = MembershipCert(INCONCLUSIVE, d)
+        if cert.certified:
+            break
+    return cert, tried
+
+
+# --- the ideal window ----------------------------------------------------------
+
+BIMODULE_FAMILIES = ("lp", "circ")            # span O_N(W)
+ZHU_FAMILIES = ("lp", "circ", "circ_n")       # span O_N(V), the case W = V
+
+
+class IdealWindow:
+    """The span of the O_N generators of a module W inside depth <= D.
+
+    ``families`` chooses which spanning families are enumerated:
+
+    - "lp": (L(-1) + L(0)_s) w;
+    - "circ": u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)_s+N) u, x) w;
+    - "circ_n": Res_x x^(-2N-1-n) Y((1+x)^(L(0)_s+N) u, x) w for n > 1.
+
+    The first two span O_N(W) and all three span O_N(V); by default a
+    module gets the families of its own ideal.  The ideal that the induced
+    map of an intertwining operator provably kills is the "circ" span alone
+    (the lowest-weight family is *not* killed in general; see the
+    discrepancy notes in the tests).
+
+    ``base``, a window for the same (W, N, families) at a shallower depth,
+    is grown rather than rebuilt: only the generators that are new at
+    depth D are enumerated and eliminated.  ``base`` itself is left
+    unchanged.
+    """
+
+    def __init__(self, module: GenModule, N: int, depth: int,
+                 families: tuple | None = None,
+                 base: "IdealWindow | None" = None):
+        if families is None:
+            families = ZHU_FAMILIES if module.algebra is module else BIMODULE_FAMILIES
+        self.module = module
+        self.algebra: VOAlgebra = module.algebra
+        self.N = N
+        self.depth = depth
+        self.families = tuple(families)
+        self.window = ModuleWindow(module, depth)
+        self.subspace = WindowSubspace(self.window, track=True,
+                                       base=base.subspace if base else None)
+        self.labels: list[str] = list(base.labels) if base else []
+        self._enumerate(base.depth if base else 0)
+
+    def _enumerate(self, have: int) -> None:
+        """Add the generators of depth D that the depth-``have`` window lacks."""
+        mod, alg, N, D = self.module, self.algebra, self.N, self.depth
+        if "lp" in self.families:
+            # (L(-1) + L(0)_s) w tops out at depth w + 1
+            for b in range(have, D):
+                for w_bv in mod.basis_at_depth(b):
+                    w = GradedVector(mod, {w_bv: Fraction(1)})
+                    self._add(lp_element(mod, w), f"lp[{w_bv}]")
+        n_lo = 1 if "circ" in self.families else 2
+        deep = "circ_n" in self.families
+        # residues ordered by (wt u, depth w, n); one tops out at depth
+        # wt u + depth w + n + 2N, so the depth-``have`` window holds those
+        # with wt u + depth w + n + 2N <= have
+        for a in range(1, D + 1):
+            for b in range(0, D - a + 1):
+                n_hi = D - a - b - 2 * N if deep else min(1, D - a - b - 2 * N)
+                for n in range(max(n_lo, have - a - b - 2 * N + 1), n_hi + 1):
+                    for u_bv in alg.basis_at_depth(a):
+                        u = GradedVector(alg, {u_bv: Fraction(1)})
+                        for w_bv in mod.basis_at_depth(b):
+                            w = GradedVector(mod, {w_bv: Fraction(1)})
+                            gen = circ_residue(mod, u, w, N, n)
+                            self._add(gen, f"circ[{u_bv};{w_bv};n={n}]")
+
+    def _add(self, gv: GradedVector, label: str) -> None:
+        self.subspace.add_generator(gv)
+        self.labels.append(label)
+
+    def membership(self, x: GradedVector) -> MembershipCert:
+        """Certified with a witness only if the witness re-multiplies to x.
+
+        The check runs in every mode, ``python -O`` included: a witness that
+        fails to reproduce x yields Inconclusive, never an unverified
+        Certified.  Raises ``WindowOverflowError`` when x does not fit in the
+        window; ``certify`` reads that as Inconclusive.
+        """
+        witness = self.subspace.witness(x)
+        if witness is None:
+            return MembershipCert(INCONCLUSIVE, self.depth)
+        rebuilt = self.module.zero()
+        for i, c in witness.items():
+            rebuilt = rebuilt + self.subspace.gens[i] * c
+        if rebuilt != x:
+            return MembershipCert(INCONCLUSIVE, self.depth)
+        return MembershipCert(CERTIFIED, self.depth, witness,
+                              tuple(self.labels[i] for i in witness))
+
+    def quotient_dims(self) -> list:
+        return self.subspace.quotient_dims_by_depth()
 
 
 def cached_context(cache: dict, key: tuple, module: GenModule, depth: int, build):
@@ -134,7 +255,7 @@ def cached_context(cache: dict, key: tuple, module: GenModule, depth: int, build
     ``base`` is the deepest cached window of the same key and module that is
     shallower than depth, or None; ``build`` grows it to depth.  A window is
     never answered from a deeper one, so each depth stays the span of exactly
-    its own generators.
+    its own generators, whatever the order of requests.
     """
     ctx = cache.get(key + (depth,))
     if ctx is not None and ctx.window.module is module:
@@ -146,92 +267,23 @@ def cached_context(cache: dict, key: tuple, module: GenModule, depth: int, build
     return ctx
 
 
-# --- algebra-side context ------------------------------------------------------
-
-class ZhuContext:
-    """Windowed data for (V, N): the ideal span inside depth <= D.
-
-    ``base``, a context for the same (V, N) at a shallower depth, is grown
-    rather than rebuilt: only the generators that are new at depth D are
-    enumerated and eliminated.  ``base`` itself is left unchanged.
-    """
-
-    def __init__(self, algebra: VOAlgebra, N: int, depth: int,
-                 base: "ZhuContext | None" = None):
-        self.algebra = algebra
-        self.N = N
-        self.depth = depth
-        self.window = ModuleWindow(algebra, depth)
-        self.subspace = WindowSubspace(self.window, track=True,
-                                       base=base.subspace if base else None)
-        self.labels: list[str] = list(base.labels) if base else []
-        self._enumerate(base.depth if base else 0)
-
-    def _enumerate(self, have: int) -> None:
-        """Add the generators of depth D that the depth-``have`` window lacks."""
-        alg, N, D = self.algebra, self.N, self.depth
-        # (L(-1) + L(0)) u family: output depth = wt u + 1
-        for a in range(have, D):
-            for u_bv in alg.basis_at_depth(a):
-                u = GradedVector(alg, {u_bv: Fraction(1)})
-                self._add(lp_element(alg, u), f"lp[{u_bv}]")
-        # residue family, ordered by (wt u, wt v, n); the depth-``have``
-        # window holds those with wt u + wt v + n + 2N <= have
-        for a in range(1, D + 1):
-            for b in range(0, D - a + 1):
-                for n in range(max(1, have - a - b - 2 * N + 1), D - a - b - 2 * N + 1):
-                    for u_bv in alg.basis_at_depth(a):
-                        u = GradedVector(alg, {u_bv: Fraction(1)})
-                        for v_bv in alg.basis_at_depth(b):
-                            v = GradedVector(alg, {v_bv: Fraction(1)})
-                            gen = circ_residue(alg, u, v, N, n)
-                            self._add(gen, f"circ[{u_bv};{v_bv};n={n}]")
-
-    def _add(self, gv: GradedVector, label: str) -> None:
-        self.subspace.add_generator(gv)
-        self.labels.append(label)
-
-    # products bound to this context's window ------------------------------
-
-    def star(self, u: GradedVector, v: GradedVector) -> GradedVector:
-        out = star_product(self.algebra, u, v, self.N)
-        self.window.row_of(out)  # raises WindowOverflowError if outside
-        return out
-
-    def circ(self, u: GradedVector, v: GradedVector, n: int = 1) -> GradedVector:
-        return circ_residue(self.algebra, u, v, self.N, n)
-
-    def membership(self, x: GradedVector) -> MembershipCert:
-        return verified_cert(self.subspace, self.labels, self.depth, x)
-
-    def quotient_dims(self) -> list:
-        return self.subspace.quotient_dims_by_depth()
+class ZhuContext(IdealWindow):
+    """The window of O_N(V) for an algebra V (``ZHU_FAMILIES``)."""
 
 
 _context_cache: dict = {}
 
 
 def zhu_context(algebra: VOAlgebra, N: int, depth: int) -> ZhuContext:
-    """The cached window of O_N(V) at depth, grown from a shallower one.
-
-    The first request for a depth builds its context from the deepest
-    cached shallower context of (V, N), if any, adding only the new
-    generators.  The result is the span of exactly the depth-D generators,
-    whatever the order of requests.
-    """
+    """The cached window of O_N(V) at depth, grown from a shallower one."""
     return cached_context(_context_cache, (algebra.module_id, N), algebra, depth,
-                          lambda base: ZhuContext(algebra, N, depth, base))
+                          lambda base: ZhuContext(algebra, N, depth, ZHU_FAMILIES, base))
 
 
 def certify_membership(algebra: VOAlgebra, N: int, x: GradedVector,
                        depth: int, retries=(2, 4)) -> MembershipCert:
-    """Membership with automatic window enlargement on Inconclusive."""
-    cert = zhu_context(algebra, N, depth).membership(x)
-    for extra in retries:
-        if cert.certified:
-            return cert
-        cert = zhu_context(algebra, N, depth + extra).membership(x)
-    return cert
+    """Membership in O_N(V), escalating the window on Inconclusive."""
+    return certify(lambda d: zhu_context(algebra, N, d), x, depth, retries)[0]
 
 
 # --- bottom slices of a module -------------------------------------------------

@@ -220,8 +220,12 @@ def test_degenerate_w_equals_v(heis):
 def test_window_overflow_raises(heis, fock_one):
     ctx = bimodule_context(fock_one, 0, 2)
     from voazhu.errors import WindowOverflowError
+    x = left_star(fock_one, heis.monomial([("a", -3)]), fock_one.monomial([("a", -1)]), 0)
     with pytest.raises(WindowOverflowError):
-        ctx.left(heis.monomial([("a", -3)]), fock_one.monomial([("a", -1)]))
+        ctx.membership(x)
+    # the ladder reads an overflow as Inconclusive at that depth
+    cert = certify_bimodule_membership(fock_one, 0, x, 2, retries=())
+    assert not cert.certified and cert.window_depth == 2
 
 
 def test_intertwiner_ideal_is_smaller(fock_one):

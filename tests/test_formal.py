@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voazhu.errors import UnderdeterminedError
-from voazhu.formal import (BivariatePoly, LaurentPoly, binom, binom_expand,
-                           binom_poly, residue)
+from voazhu.formal import BivariatePoly, LaurentPoly, binom, binom_poly, residue
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -30,53 +28,12 @@ def test_binom_pascal_recurrence(a, k):
     assert binom(a, k) == binom(a - 1, k) + binom(a - 1, k - 1)
 
 
-def test_binom_expand_examples():
-    s = binom_expand(-1, 3)
-    assert [s.coefficient(j) for j in range(4)] == [1, -1, 1, -1]
-    s = binom_expand(2, 5)
-    assert [s.coefficient(j) for j in range(6)] == [1, 2, 1, 0, 0, 0]
-    s = binom_expand(Fraction(3, 2), 2)
-    assert [s.coefficient(j) for j in range(3)] == [1, Fraction(3, 2), Fraction(3, 8)]
-
-
 def test_residue_examples():
     p = LaurentPoly({-1: 3, 0: 2})
     assert residue(p) == 3
     assert residue(LaurentPoly({2: 1})) == 0
     shifted = LaurentPoly({0: 1, 1: 2, 2: 1}).shift(-2)
     assert residue(shifted) == 2
-
-
-def test_truncseries_unknown_is_an_error_not_zero():
-    s = binom_expand(Fraction(1, 2), 4)
-    with pytest.raises(UnderdeterminedError):
-        s.coefficient(5)
-    # residue requires the -1 coefficient to be determined
-    deep = s.shift(-6)
-    with pytest.raises(UnderdeterminedError):
-        deep.residue()
-    assert s.shift(-3).residue() == binom(Fraction(1, 2), 2)
-
-
-def test_truncseries_product_tracks_tightest_order():
-    a = binom_expand(Fraction(1, 2), 5)          # known through x^5
-    b = binom_expand(Fraction(-1, 2), 3)         # known through x^3
-    prod = a * b
-    assert prod.truncation_order == 3
-    # (1+x)^(1/2) (1+x)^(-1/2) = 1 exactly on the known window
-    assert prod.coefficient(0) == 1
-    assert all(prod.coefficient(j) == 0 for j in (1, 2, 3))
-    with pytest.raises(UnderdeterminedError):
-        prod.coefficient(4)
-
-
-@given(rationals, rationals, st.integers(min_value=0, max_value=8))
-@settings(max_examples=60, deadline=None)
-def test_binom_expand_multiplicativity(a, b, trunc):
-    lhs = binom_expand(a, trunc) * binom_expand(b, trunc)
-    rhs = binom_expand(a + b, trunc)
-    assert all(lhs.coefficient(j) == rhs.coefficient(j)
-               for j in range(lhs.truncation_order + 1))
 
 
 def test_laurent_arithmetic_ring_axioms():
@@ -91,8 +48,7 @@ def test_laurent_arithmetic_ring_axioms():
 
 def test_binom_poly_matches_expansion():
     p = binom_poly(6)
-    s = binom_expand(6, 6)
-    assert all(p.coefficient(j) == s.coefficient(j) for j in range(7))
+    assert all(p.coefficient(j) == binom(6, j) for j in range(8))
 
 
 def test_bivariate_basic():

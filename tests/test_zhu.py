@@ -204,13 +204,26 @@ def test_context_star_window_overflow(heis):
     from voazhu.errors import WindowOverflowError
     ctx = zhu_context(heis, 0, 2)
     u = heis.monomial([("a", -2)])
+    uu = star_product(heis, u, u, 0)
     with pytest.raises(WindowOverflowError):
-        ctx.star(u, u)  # top weight 4 escapes the depth-2 window
-    assert ctx.star(heis.one(), u) == u  # in-window products pass through
+        ctx.membership(uu)  # top weight 4 escapes the depth-2 window
+    # the ladder reads an overflow as Inconclusive at that depth
+    cert = certify_membership(heis, 0, uu, 2, retries=())
+    assert not cert.certified and cert.window_depth == 2
+    inside = star_product(heis, heis.one(), u, 0)
+    assert inside == u and ctx.window.row_of(inside)  # in-window products fit
 
 
 def test_context_circ_generator_shape(heis):
     ctx = zhu_context(heis, 0, 6)
-    g = ctx.circ(heis.alpha(), heis.alpha(), n=1)
+    g = circ_residue(heis, heis.alpha(), heis.alpha(), 0, n=1)
     assert g.max_depth() == 1 + 1 + 0 + 1
     assert ctx.membership(g).certified  # generators certify against their own span
+
+
+def test_tight_a0_bounds(heis, vir_half):
+    """The depth-10 windows meet the known dimensions of A_0, so the upper
+    bounds are tight: A_0(M(1)) = C[x] with wt x = 1 (Frenkel-Zhu 1992) and
+    A_0(V_c) = C[x] with wt x = 2 (Wang 1993)."""
+    assert zhu_context(heis, 0, 10).quotient_dims() == [1] * 11
+    assert zhu_context(vir_half, 0, 10).quotient_dims() == [1, 0] * 5 + [1]
