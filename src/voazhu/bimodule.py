@@ -18,9 +18,9 @@ from __future__ import annotations
 from .basis import GradedVector
 from .modules import GenModule
 from .ops import ywv_mode
-from .zhu import (BIMODULE_FAMILIES, IdealWindow, MembershipCert, cached_context,
-                  certify, circ_residue, lp_element, residue_sum, star_product,
-                  weighted_residue_modes)
+from .zhu import (BIMODULE_FAMILIES, IdealWindow, MembershipCert, certify,
+                  circ_residue, lp_element, owned_window, residue_sum,
+                  star_product, weighted_residue_modes)
 
 
 def weighted_residue_ywv(module: GenModule, w: GradedVector, u: GradedVector,
@@ -65,26 +65,16 @@ class BimoduleContext(IdealWindow):
     the span of some of its families."""
 
 
-_bimodule_cache: dict = {}
-
-
 def bimodule_context(module: GenModule, N: int, depth: int,
                      families: tuple = BIMODULE_FAMILIES) -> BimoduleContext:
-    """The cached window of O_N(W) at depth, grown from a shallower one.
-
-    As ``zhu_context``: the first request for a depth grows the deepest
-    cached shallower context of (W, N, families), and the result is the
-    span of exactly the depth-D generators of those families.
-    """
-    families = tuple(families)
-    return cached_context(_bimodule_cache, (module.module_id, N, families), module, depth,
-                          lambda base: BimoduleContext(module, N, depth, families, base))
+    """The window of O_N(W) (or of the span of ``families``) at depth, owned by W."""
+    return owned_window(BimoduleContext, module, N, depth, tuple(families))
 
 
 def intertwiner_ideal_context(module: GenModule, N: int, depth: int) -> BimoduleContext:
     """Windowed span of the residue family alone - the relations any
     intertwining operator's induced map is guaranteed to annihilate."""
-    return bimodule_context(module, N, depth, families=("circ",))
+    return owned_window(BimoduleContext, module, N, depth, ("circ",))
 
 
 def certify_bimodule_membership(module: GenModule, N: int, x: GradedVector,
@@ -192,11 +182,12 @@ def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int,
 
 
 def check_axiom(module: GenModule, axiom_id: str, u, v, w, N: int,
-                margin: int = 2, retries=(2, 4)) -> MembershipCert:
+                margin: int = 2, retries=(2, 4), cap=None):
+    """Certify one axiom on one sample; returns ``certify``'s (cert, depths tried)."""
     defect = axiom_defect(module, axiom_id, u, v, w, N)
     depth = max(axiom_window_depth(module, axiom_id, u, v, w, N, margin),
-                defect.max_depth() + 1)
-    return certify_bimodule_membership(module, N, defect, depth, retries)
+                defect.max_depth())
+    return certify(lambda d: bimodule_context(module, N, d), defect, depth, retries, cap)
 
 
 def check_bimodule_axioms(module: GenModule, u, v, w, N: int,
@@ -204,7 +195,7 @@ def check_bimodule_axioms(module: GenModule, u, v, w, N: int,
     """Run every axiom on one sample; returns a list of report entries."""
     report = []
     for axiom_id in AXIOM_IDS:
-        cert = check_axiom(module, axiom_id, u, v, w, N, margin, retries)
+        cert, _ = check_axiom(module, axiom_id, u, v, w, N, margin, retries)
         report.append({
             "axiom_id": axiom_id,
             "inputs": {"u": repr(u), "v": repr(v), "w": repr(w), "N": N},

@@ -15,12 +15,18 @@ ONE = Fraction(1)
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce ints / strings like '3/4' / Fractions to an exact rational."""
+    """Coerce ints / strings like '3/4' / Fractions to an exact rational.
+
+    A string in exponent form ('1e5', '2E-3') raises ValueError: Fraction
+    would expand '1e999999999' into a billion-digit integer first.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{x!r}: exponent notation is not accepted")
         return Fraction(x)
     raise TypeError(f"cannot treat {x!r} as an exact rational")
 

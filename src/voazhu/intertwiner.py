@@ -21,12 +21,14 @@ intertwining operators by finite exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .basis import BasisVector, GradedVector, accumulate
 from .errors import DepthExceededError, WindowOverflowError
 from .formal import ZERO, as_scalar, binom
 from .heisenberg import TAG as HTAG
-from .heisenberg import FockModule, HeisenbergVOA
+from .heisenberg import HeisenbergVOA
+from .instances import fock, heisenberg_voa
 from .linalg import SparseEchelon
 from .modules import GenModule, partitions
 from .zhu import o_action, omega0_basis
@@ -87,11 +89,7 @@ class RestrictedIntertwiner(LogIntertwiner):
 
 def y0_part(it: LogIntertwiner) -> LogIntertwiner:
     """Restrict an operator to its (log x)^0 modes."""
-    if it.log_bound == 0 and not isinstance(it, RestrictedIntertwiner):
-        return it
-    if isinstance(it, RestrictedIntertwiner):
-        return it
-    return RestrictedIntertwiner(it)
+    return it if it.log_bound == 0 else RestrictedIntertwiner(it)
 
 
 class FockIntertwiner(LogIntertwiner):
@@ -106,35 +104,44 @@ class FockIntertwiner(LogIntertwiner):
 
     where S_lam shifts the momentum; composite first arguments are reduced
     through the iterate formula for intertwiner modes.  All modes carry
-    k = 0; exponents n lie in -lam*mu + Z.
+    k = 0; exponents n lie in -lam*mu + Z.  The three modules are the
+    registry's ``fock(lam)``, ``fock(mu)`` and ``fock(lam + mu)``, so the
+    operator shares their mode caches and ideal windows.
     """
 
     def __init__(self, algebra: HeisenbergVOA, lam, mu,
                  normalization=1, depth_max: int = 48):
+        if algebra is not heisenberg_voa():
+            raise ValueError("FockIntertwiner needs the shared heisenberg_voa() algebra")
         lam, mu = as_scalar(lam), as_scalar(mu)
-        super().__init__(FockModule(algebra, lam), FockModule(algebra, mu),
-                         FockModule(algebra, lam + mu), log_bound=0)
+        super().__init__(fock(lam), fock(mu), fock(lam + mu), log_bound=0)
         self.lam = lam
         self.mu = mu
         self.normalization = as_scalar(normalization)
         self.depth_max = depth_max
         self._cache: dict = {}
 
-    def _annihilator_terms(self, w2_bv: BasisVector, s: int) -> dict:
-        """x^(-s) coefficient of E_+(lam, x) applied to one monomial of F_mu."""
-        acc: dict = {}
-        for parts in partitions(s, 1):
-            coeff = Fraction(1)
+    def _exponential_terms(self, total: int, sign: int):
+        """The x^(±total) coefficient of exp(sign lam sum_p x^(±p) / p), by partition.
+
+        Yields (mult, coeff) for each partition of total: ``mult`` maps a
+        part p to its multiplicity j, and coeff = prod_p (sign lam / p)^j / j!.
+        """
+        for parts in partitions(total, 1):
             mult: dict = {}
             for p in parts:
                 mult[p] = mult.get(p, 0) + 1
+            coeff = Fraction(1)
+            for p, j in mult.items():
+                coeff *= (sign * self.lam / p) ** j / factorial(j)
+            yield mult, coeff
+
+    def _annihilator_terms(self, w2_bv: BasisVector, s: int) -> dict:
+        """x^(-s) coefficient of E_+(lam, x) applied to one monomial of F_mu."""
+        acc: dict = {}
+        for mult, coeff in self._exponential_terms(s, -1):
             cur = GradedVector(self.w2_module, {w2_bv: Fraction(1)})
             for p, j in mult.items():
-                coeff *= (-self.lam / p) ** j
-                fact = 1
-                for t in range(2, j + 1):
-                    fact *= t
-                coeff /= fact
                 for _ in range(j):
                     if cur.is_zero():
                         break
@@ -146,18 +153,9 @@ class FockIntertwiner(LogIntertwiner):
     def _creation_apply(self, bv: BasisVector, r: int) -> dict:
         """x^r coefficient of E_-(lam, x) applied to one monomial of F_{lam+mu}."""
         acc: dict = {}
-        for parts in partitions(r, 1):
-            coeff = Fraction(1)
-            mult: dict = {}
-            for p in parts:
-                mult[p] = mult.get(p, 0) + 1
+        for mult, coeff in self._exponential_terms(r, 1):
             modes = list(bv.modes)
             for p, j in mult.items():
-                coeff *= (self.lam / p) ** j
-                fact = 1
-                for t in range(2, j + 1):
-                    fact *= t
-                coeff /= fact
                 modes.extend([(HTAG, -p)] * j)
             out = self.w3_module.basis_vector(modes)
             acc[out] = acc.get(out, ZERO) + coeff
@@ -319,21 +317,19 @@ def check_hom_properties(it: LogIntertwiner, N: int, u: GradedVector,
 # --- fusion dimension ----------------------------------------------------------
 
 def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
-               N: int, window: int, gen_weight_max: int | None = None) -> int:
+               N: int, window: int) -> int:
     """Upper bound for dim Hom(A_N(W1) (x)_{A_N(V)} bottom(W2), bottom(W3)).
 
     Unknowns are the values of a candidate map on (window coset
     representatives of A_N(W1)) x (bottom basis of W2), with coordinates in
     the bottom slice of W3; constraints impose the left-action equivariance
     and the balanced-product relation against every homogeneous algebra
-    element up to gen_weight_max.  Constraints whose products leave the
-    window are skipped, which keeps the answer an upper bound at every
-    window; in practice it shrinks and then stabilizes as the window grows,
-    and agreement across two successive windows is the reported confidence
-    signal.
+    element of weight up to min(window, 6).  Constraints whose products
+    leave the window are skipped, which keeps the answer an upper bound at
+    every window; in practice it shrinks and then stabilizes as the window
+    grows, and agreement across two successive windows is the reported
+    confidence signal.
     """
-    if gen_weight_max is None:
-        gen_weight_max = min(window, 6)
     ctx = intertwiner_ideal_context(W1, N, window)
     sub = ctx.subspace
     pivot_cols = set(sub.ech.pivots)
@@ -352,10 +348,21 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         rem, _ = sub.ech.reduce(ctx.window.row_of(vec))
         return {col_pos[c]: v for c, v in rem.items()}
 
-    # o(u) matrices on the bottom slices
     ech = SparseEchelon()
+
+    def constrain(product: dict, b2i: int, r: int, o_terms) -> None:
+        """f(product (x) b2) at coordinate r minus the (unknown, coeff) o(u) terms."""
+        row: dict = {}
+        for p, c in product.items():
+            key = unknown(p, b2i, r)
+            row[key] = row.get(key, ZERO) + c
+        for key, c in o_terms:
+            row[key] = row.get(key, ZERO) - c
+        ech.insert_rational({k: v for k, v in row.items() if v != 0})
+
+    # o(u) matrices on the bottom slices
     nvars = nq * n2 * n3
-    for a in range(1, gen_weight_max + 1):
+    for a in range(1, min(window, 6) + 1):
         for u_bv in algebra.basis_at_depth(a):
             u = GradedVector(algebra, {u_bv: Fraction(1)})
             m3 = []  # column b3i -> coords over b3
@@ -375,31 +382,16 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
                 for b2i in range(n2):
                     for r in range(n3):
                         # left: f(u * q (x) b2) = o(u) f(q (x) b2)
-                        row: dict = {}
-                        for p, c in lv.items():
-                            row[unknown(p, b2i, r)] = row.get(unknown(p, b2i, r), ZERO) + c
-                        for s in range(n3):
-                            c = m3[s].get(r)
-                            if c:
-                                key = unknown(qi, b2i, s)
-                                row[key] = row.get(key, ZERO) - c
-                        ech.insert_rational({k: v for k, v in row.items() if v != 0})
+                        constrain(lv, b2i, r, [(unknown(qi, b2i, s), m3[s][r])
+                                               for s in range(n3) if m3[s].get(r)])
                         # right: f(q * u (x) b2) = f(q (x) o(u) b2)
-                        row = {}
-                        for p, c in rv.items():
-                            row[unknown(p, b2i, r)] = row.get(unknown(p, b2i, r), ZERO) + c
-                        for b2p in range(n2):
-                            c = m2[b2i].get(b2p)
-                            if c:
-                                key = unknown(qi, b2p, r)
-                                row[key] = row.get(key, ZERO) - c
-                        ech.insert_rational({k: v for k, v in row.items() if v != 0})
+                        constrain(rv, b2i, r, [(unknown(qi, b2p, r), m2[b2i][b2p])
+                                               for b2p in range(n2) if m2[b2i].get(b2p)])
     return nvars - ech.rank
 
 
-def fusion_report(algebra, W1, W2, W3, N: int, windows=(6, 8),
-                  gen_weight_max: int | None = None) -> dict:
-    dims = [fusion_dim(algebra, W1, W2, W3, N, w, gen_weight_max) for w in windows]
+def fusion_report(algebra, W1, W2, W3, N: int, windows=(6, 8)) -> dict:
+    dims = [fusion_dim(algebra, W1, W2, W3, N, w) for w in windows]
     return {
         "type": [W1.module_id, W2.module_id, W3.module_id],
         "N": N,

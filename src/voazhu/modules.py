@@ -8,9 +8,9 @@ action is derived from those base rules through the iterate formula
                       [ a_(m-i) u_(n+i) w  -  (-1)^m u_(m+n-i) a_(i) w ],
 
 with both inner sums finite because the module is lower bounded.  Instances
-are immutable after construction; the per-instance mode caches only ever
-map a key to one value, so concurrent readers always observe identical
-results.
+are immutable after construction; the per-instance caches (modes and
+ideal windows) only ever map a key to one value, so concurrent readers
+always observe identical results.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ class GenModule:
         self.min_part = min_part
         self._mode_cache: dict = {}
         self._gen_cache: dict = {}
+        self._windows: dict = {}   # (class, N, families) -> {depth: window}
 
     # --- presentation supplied by subclasses -------------------------------
 
@@ -214,9 +215,6 @@ class VOAlgebra(GenModule):
     def __init__(self, module_id: str, central_charge, min_part: int = 1):
         super().__init__(module_id, 0, algebra=None, min_part=min_part)
         self.central_charge = as_scalar(central_charge)
-
-    def vacuum_bv(self) -> BasisVector:
-        return BasisVector(self.module_id, ())
 
     def one(self) -> GradedVector:
         return self.lw()

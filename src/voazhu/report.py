@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .basis import GradedVector
-from .bimodule import (AXIOM_IDS, axiom_defect, axiom_window_depth,
-                       bimodule_context, circ_w)
+from .bimodule import AXIOM_IDS, check_axiom, circ_w
 from .identities import check_identity_families
 from .instances import fock, heisenberg_voa, verma, virasoro_voa
 from .intertwiner import (FockIntertwiner, check_derivative_rule,
@@ -238,12 +237,9 @@ def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
                 inputs_base = {"module": module.module_id, "N": N,
                                "u": _vec_repr(u), "v": _vec_repr(v), "w": _vec_repr(w)}
                 for axiom_id in AXIOM_IDS:
-                    defect = axiom_defect(module, axiom_id, u, v, w, N)
-                    depth = max(axiom_window_depth(module, axiom_id, u, v, w, N,
-                                                   config.window_margin),
-                                defect.max_depth())
-                    cert, tried = certify(lambda d: bimodule_context(module, N, d), defect,
-                                          depth, config.retries, config.window_cap)
+                    cert, tried = check_axiom(module, axiom_id, u, v, w, N,
+                                              config.window_margin, config.retries,
+                                              config.window_cap)
                     inputs = dict(inputs_base, axiom=axiom_id)
                     rep.add("an-bimodule", axiom_id, inputs, cert.status,
                             windows_tried=tried, witness_size=cert.witness_size())

@@ -79,7 +79,7 @@ def pairs_to_vector(module: GenModule, pairs) -> GradedVector:
 
 def _spec_rational(spec: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_scalar(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad module spec {spec!r}: {text!r} is not a rational") from None
 

@@ -249,21 +249,20 @@ class IdealWindow:
         return self.subspace.quotient_dims_by_depth()
 
 
-def cached_context(cache: dict, key: tuple, module: GenModule, depth: int, build):
-    """The window cached under (key, depth), else ``build(base)`` cached there.
+def owned_window(cls, module: GenModule, N: int, depth: int, families: tuple):
+    """The ``cls`` window of (N, families) at depth, cached on ``module`` itself.
 
-    ``base`` is the deepest cached window of the same key and module that is
-    shallower than depth, or None; ``build`` grows it to depth.  A window is
-    never answered from a deeper one, so each depth stays the span of exactly
-    its own generators, whatever the order of requests.
+    The first request for a depth grows the deepest window of the same key
+    that the instance holds at a shallower depth (or builds from nothing).
+    A depth is never answered from a deeper window, so each depth stays the
+    span of exactly its own generators, whatever the order of requests.
     """
-    ctx = cache.get(key + (depth,))
-    if ctx is not None and ctx.window.module is module:
-        return ctx
-    base = max((c for k, c in cache.items()
-                if k[:-1] == key and c.depth < depth and c.window.module is module),
-               key=lambda c: c.depth, default=None)
-    ctx = cache[key + (depth,)] = build(base)
+    windows = module._windows.setdefault((cls, N, families), {})
+    ctx = windows.get(depth)
+    if ctx is None:
+        base = max((d for d in windows if d < depth), default=None)
+        ctx = windows[depth] = cls(module, N, depth, families,
+                                   None if base is None else windows[base])
     return ctx
 
 
@@ -271,13 +270,9 @@ class ZhuContext(IdealWindow):
     """The window of O_N(V) for an algebra V (``ZHU_FAMILIES``)."""
 
 
-_context_cache: dict = {}
-
-
 def zhu_context(algebra: VOAlgebra, N: int, depth: int) -> ZhuContext:
-    """The cached window of O_N(V) at depth, grown from a shallower one."""
-    return cached_context(_context_cache, (algebra.module_id, N), algebra, depth,
-                          lambda base: ZhuContext(algebra, N, depth, ZHU_FAMILIES, base))
+    """The window of O_N(V) at depth, owned by ``algebra``."""
+    return owned_window(ZhuContext, algebra, N, depth, ZHU_FAMILIES)
 
 
 def certify_membership(algebra: VOAlgebra, N: int, x: GradedVector,

@@ -8,6 +8,7 @@ from oracles import LogLaurent
 from voazhu import GradedVector, binom
 from voazhu.bimodule import circ_w
 from voazhu.errors import DepthExceededError
+from voazhu.heisenberg import HeisenbergVOA
 from voazhu.instances import fock, heisenberg_voa
 from voazhu.intertwiner import (FockIntertwiner, TableIntertwiner,
                                 check_derivative_rule, check_hom_properties,
@@ -175,6 +176,18 @@ def test_y0_part(it12, verma_ising):
     assert restricted.mode(M.lw(), Fraction(-1), 0, M.lw()) == M.lw() * 2
     assert restricted.mode(M.lw(), Fraction(-1), 1, M.lw()).is_zero()
     assert y0_part(restricted) is restricted  # idempotent
+
+
+def test_modules_come_from_the_registry(it12):
+    """The operator reads the very instances that own the fusion windows."""
+    assert it12.w1_module is fock(1)
+    assert it12.w2_module is fock(2)
+    assert it12.w3_module is fock(3)
+
+
+def test_algebra_outside_the_registry_rejected():
+    with pytest.raises(ValueError):
+        FockIntertwiner(HeisenbergVOA(), 1, 2)
 
 
 def test_depth_guard():

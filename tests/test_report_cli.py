@@ -89,7 +89,7 @@ def test_parse_module_spec():
     assert parse_module_spec("virasoro:c=1/2").module_id == "vir(c=1/2)"
     assert parse_module_spec("verma:c=1/2,h=1/16").module_id == "verma(c=1/2,h=1/16)"
     for bad in ("lattice:A1", "virasoro:c=abc", "virasoro:", "virasoro:c=1/0",
-                "verma:c=1", "fock:x"):
+                "verma:c=1", "fock:x", "fock:1e999999999", "verma:c=1/2,h=1E-999999999"):
         with pytest.raises(ValueError):
             parse_module_spec(bad)
 
@@ -209,4 +209,21 @@ def test_cli_bad_input_prints_no_traceback(tmp_path, src_env):
                               capture_output=True, text=True, env=src_env, timeout=120)
         assert proc.returncode == 2, name
         assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
+
+
+def test_cli_exponent_rationals_fail_fast(tmp_path, src_env):
+    """'1e999999999' is refused before Fraction expands it to a
+    billion-digit integer, in a module spec and in an element file."""
+    elem = tmp_path / "huge.json"
+    elem.write_text(json.dumps([["a(-1)", "1e999999999"]]))
+    runs = {
+        "spec": ["fusion", "--w1", "fock:1e999999999", "--w2", "fock:2", "--w3", "fock:3"],
+        "element": ["reduce", str(elem), "--algebra", "heisenberg"],
+    }
+    for name, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "voazhu.cli", *argv],
+                              capture_output=True, text=True, env=src_env, timeout=30)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)

@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from voazhu import bimodule, zhu
 from voazhu.basis import GradedVector
-from voazhu.bimodule import BimoduleContext, bimodule_context
+from voazhu.bimodule import (BimoduleContext, bimodule_context,
+                             intertwiner_ideal_context)
+from voazhu.heisenberg import FockModule, HeisenbergVOA
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.modules import basis_window
 from voazhu.zhu import ZhuContext, zhu_context
@@ -120,28 +121,49 @@ def test_growing_leaves_the_base_unchanged(name, N):
     assert [base.membership(x).status for x in probes] == statuses
 
 
+def _fresh_module(name):
+    """An instance of its own, so it holds no windows yet."""
+    heis = HeisenbergVOA()
+    return {"heis": heis, "fock": FockModule(heis, 1)}[name]
+
+
 @pytest.mark.parametrize("name,N", [("heis", 0), ("fock", 1)])
-def test_answers_do_not_depend_on_request_order(name, N, monkeypatch):
-    module = _module(name)
-    build = zhu_context if module.algebra is module else bimodule_context
+def test_answers_do_not_depend_on_request_order(name, N):
     results = []
     for order in ((6, 8, 10), (8, 6, 10)):
-        monkeypatch.setattr(zhu, "_context_cache", {})
-        monkeypatch.setattr(bimodule, "_bimodule_cache", {})
+        module = _fresh_module(name)
+        build = zhu_context if module.algebra is module else bimodule_context
         contexts = {d: build(module, N, d) for d in order}
         results.append({d: _answers(contexts[d], _probes(contexts[d], d, seed=d))
                         for d in sorted(contexts)})
     assert results[0] == results[1]
 
 
-def test_cache_never_answers_from_a_deeper_window(monkeypatch):
-    heis = heisenberg_voa()
-    monkeypatch.setattr(zhu, "_context_cache", {})
+def test_cache_never_answers_from_a_deeper_window():
+    heis = HeisenbergVOA()
     deep = zhu_context(heis, 0, 8)
     shallow = zhu_context(heis, 0, 6)
     assert shallow.depth == 6 and len(shallow.window) < len(deep.window)
     assert len(shallow.subspace.gens) == len(ZhuContext(heis, 0, 6).subspace.gens)
     assert zhu_context(heis, 0, 6) is shallow
+
+
+def test_instances_sharing_a_module_id_never_share_a_window():
+    """Windows live on the instance: a second instance with the same
+    module_id builds its own, and growing one leaves the other alone."""
+    shared, other = heisenberg_voa(), HeisenbergVOA()
+    assert other.module_id == shared.module_id and other is not shared
+    mine = zhu_context(other, 0, 5)
+    assert mine is not zhu_context(shared, 0, 5)
+    assert mine.window.module is other
+    before = {key: dict(windows) for key, windows in shared._windows.items()}
+    assert zhu_context(other, 0, 7).window.module is other
+    assert shared._windows == before
+    W = FockModule(other, 1)
+    assert W.module_id == fock(1).module_id
+    assert bimodule_context(W, 0, 5) is not bimodule_context(fock(1), 0, 5)
+    assert intertwiner_ideal_context(W, 0, 5).window.module is W
+    assert bimodule_context(W, 0, 5).window.module is W
 
 
 def test_growth_only_onto_a_deeper_window_of_the_same_module():
