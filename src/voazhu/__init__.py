@@ -6,7 +6,7 @@ Everything is exact rational arithmetic; identity checks either hold on
 the nose or come back with a counterexample vector.
 """
 
-from .formal import BivariatePoly, LaurentPoly, Scalar, binom, residue
+from .formal import BivariatePoly, LaurentPoly, binom, residue
 from .identities import (alternating_binomial_sum,
                          verify_bivariate_binomial_cancellation,
                          verify_telescoping_binomial_sum)
@@ -15,7 +15,7 @@ from .modules import GenModule, VOAlgebra, basis_window, partitions
 from .heisenberg import FockModule, HeisenbergVOA
 from .virasoro import VermaModule, VirasoroVOA
 from .ops import (commutator_check, contragredient_pairing_check, DualVector,
-                  l0s_conjugation_check, l0s_split, opposite_mode, ywv_mode)
+                  l0s_conjugation_check, opposite_mode, ywv_mode)
 from .linalg import ModuleWindow, SparseEchelon, WindowSubspace, kernel_basis
 from .zhu import (IdealWindow, MembershipCert, ZhuContext, certify,
                   certify_membership, circ_residue, lp_element, o_action,

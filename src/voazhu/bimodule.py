@@ -23,12 +23,6 @@ from .zhu import (BIMODULE_FAMILIES, IdealWindow, MembershipCert, certify,
                   star_product, weighted_residue_modes)
 
 
-def weighted_residue_ywv(module: GenModule, w: GradedVector, u: GradedVector,
-                         binom_exponent_offset, x_power: int) -> GradedVector:
-    """Res_x x^(x_power) Y_WV((1+x)^(L(0)_s + offset) w, x) u, exactly."""
-    return weighted_residue_modes(module, w, u, binom_exponent_offset, x_power, ywv_mode)
-
-
 def left_star(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> GradedVector:
     """u *_N w (left action of the algebra on the module)."""
     return star_product(module, u, w, N)
@@ -57,7 +51,7 @@ def circ_wv(module: GenModule, w: GradedVector, u: GradedVector, N: int,
     """w o_N u (membership in O_N(W) is a theorem, certified in the tests)."""
     if p < q or q < 0:
         raise ValueError("deep-power variant needs p >= q >= 0")
-    return weighted_residue_ywv(module, w, u, N + q, -2 * N - 2 - p)
+    return weighted_residue_modes(module, w, u, N + q, -2 * N - 2 - p, ywv_mode)
 
 
 class BimoduleContext(IdealWindow):
@@ -113,7 +107,7 @@ def commutator_defect(module: GenModule, u: GradedVector, w: GradedVector,
     """u *_N w - w *_N u - Res_x Y_W((1+x)^(L(0)_s - 1) u, x) w (or mirrored)."""
     if mirrored:
         return (right_star(module, w, u, N) - left_star(module, u, w, N)
-                - weighted_residue_ywv(module, w, u, -1, 0))
+                - weighted_residue_modes(module, w, u, -1, 0, ywv_mode))
     return (left_star(module, u, w, N) - right_star(module, w, u, N)
             - weighted_residue_modes(module, u, w, -1, 0))
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

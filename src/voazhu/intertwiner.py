@@ -5,7 +5,9 @@ doubly indexed modes Y_{n;k}(w1) w2 (n a rational exponent, k the log
 power).  The only concrete instance shipped is the free-boson one of type
 (F_{lam+mu}; F_lam, F_mu), built from the normal-ordered exponential of
 the current; it is log-free (k = 0 only) with exponents in -lam*mu + Z.
-The k-indexed paths are exercised by synthetic finite mode tables.
+Its modes on composite first arguments come from ``modules.iterate_formula``,
+the function that also gives each module its vertex operator.  The
+k-indexed paths are exercised by synthetic finite mode tables.
 
 From an intertwining operator, ``induced_hom`` produces the map
 
@@ -25,12 +27,12 @@ from math import factorial
 
 from .basis import BasisVector, GradedVector, accumulate
 from .errors import DepthExceededError, WindowOverflowError
-from .formal import ZERO, as_scalar, binom
+from .formal import ZERO, as_scalar
 from .heisenberg import TAG as HTAG
 from .heisenberg import HeisenbergVOA
 from .instances import fock, heisenberg_voa
 from .linalg import SparseEchelon
-from .modules import GenModule, partitions
+from .modules import GenModule, iterate_formula, partitions
 from .zhu import o_action, omega0_basis
 from .bimodule import (intertwiner_ideal_context, left_star, right_star,
                        right_star_alt)
@@ -102,8 +104,10 @@ class FockIntertwiner(LogIntertwiner):
     E_-(lam,x) = exp(lam sum_{n>=1} alpha(-n) x^n / n),
     E_+(lam,x) = exp(-lam sum_{n>=1} alpha(n) x^-n / n),
 
-    where S_lam shifts the momentum; composite first arguments are reduced
-    through the iterate formula for intertwiner modes.  All modes carry
+    where S_lam shifts the momentum.  A composite first argument
+    alpha(p) w1' is reduced to w1' by ``modules.iterate_formula``, the
+    engine that also gives every module its vertex operator, with the
+    current acting on F_mu and F_{lam+mu}.  All modes carry
     k = 0; exponents n lie in -lam*mu + Z.  The three modules are the
     registry's ``fock(lam)``, ``fock(mu)`` and ``fock(lam + mu)``, so the
     operator shares their mode caches and ideal windows.
@@ -165,35 +169,23 @@ class FockIntertwiner(LogIntertwiner):
         n = as_scalar(n)
         if k != 0:
             return self.w3_module.zero()
-        shift = n + self.lam * self.mu
-        if shift.denominator != 1:
-            raise ValueError(
-                f"mode index {n} is not in the exponent coset {-self.lam * self.mu} + Z")
         key = (w1_bv, n, w2_bv)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = self._mode_compute(w1_bv, n, w2_bv)
-        if __debug__ and out.terms:
-            want = (self.w1_module.weight_of(w1_bv) - n - 1
-                    + self.w2_module.weight_of(w2_bv) - self.w3_module.lowest_weight)
-            assert all(bv.depth == want for bv in out.terms), "intertwiner weight bookkeeping broken"
-        self._cache[key] = out
-        return out
-
-    def _mode_compute(self, w1_bv: BasisVector, n, w2_bv: BasisVector) -> GradedVector:
+        # output depth; integral exactly when n lies in the exponent coset
         d_out = (self.w1_module.weight_of(w1_bv) - n - 1
                  + self.w2_module.weight_of(w2_bv) - self.w3_module.lowest_weight)
         if d_out.denominator != 1:
-            raise ValueError("mode index outside the operator's exponent coset")
+            raise ValueError(
+                f"mode index {n} is not in the exponent coset {-self.lam * self.mu} + Z")
         d_out = int(d_out)
         if d_out < 0:
-            return self.w3_module.zero()
-        if d_out > self.depth_max:
+            out = self.w3_module.zero()
+        elif d_out > self.depth_max:
             raise DepthExceededError(
                 f"mode output depth {d_out} above configured bound {self.depth_max}")
-
-        if not w1_bv.modes:
+        elif not w1_bv.modes:
             # bottom vector: expand the exponential operator directly
             d2 = w2_bv.depth
             acc: dict = {}
@@ -208,35 +200,19 @@ class FockIntertwiner(LogIntertwiner):
                         acc[bv_out] = acc.get(bv_out, ZERO) + c_mid * c_out
             out = GradedVector(self.w3_module, {b: c * self.normalization
                                                 for b, c in acc.items()})
-            return out
-
-        # composite first argument: iterate formula through the leading factor
-        tag, p0 = w1_bv.modes[0]
-        m = p0  # current modes: algebra mode index equals the physics index
-        rest = BasisVector(self.w1_module.module_id, w1_bv.modes[1:])
-        alpha = self.w1_module.algebra.alpha()
-        acc2: dict = {}
-        i_top = int(self.w1_module.weight_of(rest) + self.w2_module.weight_of(w2_bv)
-                    - self.w3_module.lowest_weight - n - 1)
-        for i in range(0, max(0, i_top + 1)):
-            c = binom(Fraction(m), i) * ((-1) ** i)
-            if c == 0:
-                continue
-            inner = self.mode_basis(rest, n + i, 0, w2_bv)
-            if inner.is_zero():
-                continue
-            accumulate(acc2, self.w3_module.mode_action(alpha, m - i, inner), c)
-        sign = 1 if m % 2 else -1  # -(-1)**m
-        for i in range(0, w2_bv.depth + 1):
-            c = binom(Fraction(m), i) * ((-1) ** i) * sign
-            if c == 0:
-                continue
-            aw = self.w2_module.gen_action(HTAG, i, w2_bv)
-            if aw.is_zero():
-                continue
-            for bv2, c2 in aw.terms.items():
-                accumulate(acc2, self.mode_basis(rest, m + n - i, 0, bv2), c * c2)
-        return GradedVector(self.w3_module, acc2)
+        else:
+            # composite first argument: the iterate formula through the leading
+            # current factor, whose algebra mode index equals its physics index;
+            # rest_(n+i) w2 has depth d_out + m - i
+            tag, m = w1_bv.modes[0]
+            rest = BasisVector(self.w1_module.module_id, w1_bv.modes[1:])
+            out = iterate_formula(self.w3_module, self.w2_module, tag, m, n, w2_bv,
+                                  d_out + m, lambda j, bv: self.mode_basis(rest, j, 0, bv))
+        if __debug__ and out.terms:
+            assert all(bv.depth == d_out for bv in out.terms), \
+                "intertwiner weight bookkeeping broken"
+        self._cache[key] = out
+        return out
 
 
 class TableIntertwiner(LogIntertwiner):

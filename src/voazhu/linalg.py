@@ -164,11 +164,6 @@ class SparseEchelon:
                         combo[k] = s
         return rem, combo
 
-    def contains(self, row: dict) -> bool:
-        rem, _ = self.reduce(row)
-        return not rem
-
-
 class ModuleWindow:
     """The finite-dimensional graded slice of a module up to a given depth."""
 

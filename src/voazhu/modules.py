@@ -7,7 +7,9 @@ action is derived from those base rules through the iterate formula
     (a_(m) u)_(n) w = sum_{i>=0} (-1)^i C(m,i)
                       [ a_(m-i) u_(n+i) w  -  (-1)^m u_(m+n-i) a_(i) w ],
 
-with both inner sums finite because the module is lower bounded.  Instances
+with both inner sums finite because the module is lower bounded.  The one
+function ``iterate_formula`` carries it, both for a module's own vertex
+operator and for the free-boson intertwiner's modes.  Instances
 are immutable after construction; the per-instance caches (modes and
 ideal windows) only ever map a key to one value, so concurrent readers
 always observe identical results.
@@ -162,38 +164,11 @@ class GenModule:
                 return GradedVector(self, {w_bv: Fraction(1)})
             return self.zero()
         tag, p0 = u_bv.modes[0]
-        gen_wt = self.algebra.generator_tags()[tag]
-        m = p0 + gen_wt - 1  # algebra mode index of the leading generator factor
+        m = p0 + self.algebra.generator_tags()[tag] - 1  # algebra mode index of the leading factor
         rest = BasisVector(self.algebra.module_id, u_bv.modes[1:])
-        rest_wt = rest.depth
-        acc: dict = {}
-
-        # first sum: a_(m-i) u_(n+i) w, truncated by lower-boundedness of W
-        i_top = rest_wt + w_bv.depth - n - 1
-        if m >= 0:
-            i_top = min(i_top, m)
-        for i in range(0, i_top + 1):
-            c = binom(Fraction(m), i) * ((-1) ** i)
-            if c == 0:
-                continue
-            inner = self._mode_basis(rest, n + i, w_bv)
-            if inner.is_zero():
-                continue
-            accumulate(acc, self.gen_action(tag, (m - i) - gen_wt + 1, inner), c)
-
-        # second sum: u_(m+n-i) a_(i) w, truncated by a_(i) w = 0 for deep i
-        sign = 1 if m % 2 else -1  # -(-1)**m
-        i_top2 = gen_wt - 1 + w_bv.depth
-        for i in range(0, i_top2 + 1):
-            c = binom(Fraction(m), i) * ((-1) ** i) * sign
-            if c == 0:
-                continue
-            aw = self.gen_action(tag, i - gen_wt + 1, w_bv)
-            if aw.is_zero():
-                continue
-            for bv2, c2 in aw.terms.items():
-                accumulate(acc, self._mode_basis(rest, m + n - i, bv2), c * c2)
-        return GradedVector(self, acc)
+        # rest_(n+i) w vanishes once n + i >= depth rest + depth w
+        return iterate_formula(self, self, tag, m, n, w_bv, rest.depth + w_bv.depth - n - 1,
+                               lambda k, bv: self._mode_basis(rest, k, bv))
 
     # --- truncation helpers --------------------------------------------------
 
@@ -207,6 +182,47 @@ class GenModule:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.module_id}>"
+
+
+def iterate_formula(out: GenModule, src: GenModule, tag: str, m: int, n, w_bv: BasisVector,
+                    i_top: int, inner) -> GradedVector:
+    """(a_(m) u)_(n) w by the iterate formula, for a generator a of weight g.
+
+    ``inner(k, bv)`` is u_(k) bv for bv in ``src``, with values in ``out``;
+    a acts through ``out.gen_action`` in the first sum and ``src.gen_action``
+    in the second.  The first sum stops at ``i_top``, the last i with
+    u_(n+i) w possibly nonzero, and at m when m >= 0 (C(m, i) = 0 beyond);
+    the second stops at g - 1 + depth w, beyond which a_(i) w = 0.  A
+    module's vertex operator passes out = src = the module, the free-boson
+    intertwiner out = W3 and src = W2.
+    """
+    gen_wt = out.algebra.generator_tags()[tag]
+    acc: dict = {}
+
+    # first sum: a_(m-i) u_(n+i) w
+    if m >= 0:
+        i_top = min(i_top, m)
+    for i in range(0, i_top + 1):
+        c = binom(Fraction(m), i) * ((-1) ** i)
+        if c == 0:
+            continue
+        v = inner(n + i, w_bv)
+        if v.is_zero():
+            continue
+        accumulate(acc, out.gen_action(tag, (m - i) - gen_wt + 1, v), c)
+
+    # second sum: u_(m+n-i) a_(i) w
+    sign = 1 if m % 2 else -1  # -(-1)**m
+    for i in range(0, gen_wt + w_bv.depth):
+        c = binom(Fraction(m), i) * ((-1) ** i) * sign
+        if c == 0:
+            continue
+        aw = src.gen_action(tag, i - gen_wt + 1, w_bv)
+        if aw.is_zero():
+            continue
+        for bv2, c2 in aw.terms.items():
+            accumulate(acc, inner(m + n - i, bv2), c * c2)
+    return GradedVector(out, acc)
 
 
 class VOAlgebra(GenModule):

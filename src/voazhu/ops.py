@@ -138,11 +138,6 @@ def ywv_mode(module: GenModule, w: GradedVector, n, u: GradedVector) -> GradedVe
     return GradedVector(module, acc)
 
 
-def l0s_split(gv: GradedVector) -> dict:
-    """Formal y^{L(0)_s} gv: weight exponent -> homogeneous component."""
-    return gv.homogeneous_components()
-
-
 def l0s_conjugation_check(module: GenModule, u: GradedVector, n: int,
                           w: GradedVector) -> bool:
     """Check y^{L(0)_s} Y_n(u) y^{-L(0)_s} w = y^{wt u - n - 1} Y_n(u) w formally.
@@ -152,9 +147,9 @@ def l0s_conjugation_check(module: GenModule, u: GradedVector, n: int,
     """
     d = u.weight()
     lhs: dict = {}
-    for wt_in, comp in l0s_split(w).items():
+    for wt_in, comp in w.homogeneous_components().items():
         out = module.mode_action(u, n, comp)
-        for wt_out, piece in l0s_split(out).items():
+        for wt_out, piece in out.homogeneous_components().items():
             expo = wt_out - wt_in
             cur = lhs.get(expo)
             lhs[expo] = piece if cur is None else cur + piece

@@ -101,10 +101,6 @@ class _Reporter:
                       key=lambda e: (e["module"], e["check_id"], e["input_hash"]))
 
 
-def _vec_repr(gv: GradedVector):
-    return vector_to_pairs(gv)
-
-
 def _algebras(config: SuiteConfig):
     algebras = [heisenberg_voa()]
     for c in config.virasoro_charges:
@@ -143,8 +139,8 @@ def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
             m = stream.mode_index(-3, 3)
             n = stream.mode_index(-3, 3)
             inputs = {"algebra": alg.module_id, "module": module.module_id,
-                      "u": _vec_repr(u), "m": m, "v": _vec_repr(v), "n": n,
-                      "w": _vec_repr(w)}
+                      "u": vector_to_pairs(u), "m": m, "v": vector_to_pairs(v), "n": n,
+                      "w": vector_to_pairs(w)}
             ok = commutator_check(module, u, m, v, n, w)
             rep.add("voa-core", "commutator_formula", inputs, "pass" if ok else "fail")
             one = alg.one()
@@ -188,8 +184,9 @@ def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
                     depth = max(depth, defect.max_depth())
                     cert, tried = certify(lambda d: zhu_context(alg, N, d), defect, depth,
                                           config.retries, config.window_cap)
-                    inputs = {"algebra": alg.module_id, "N": N, "u": _vec_repr(u),
-                              "v": _vec_repr(v), "w": _vec_repr(w), "check": check_id}
+                    inputs = {"algebra": alg.module_id, "N": N, "u": vector_to_pairs(u),
+                              "v": vector_to_pairs(v), "w": vector_to_pairs(w),
+                              "check": check_id}
                     rep.add("zhu-quotient", check_id, inputs, cert.status,
                             windows_tried=tried, witness_size=cert.witness_size())
 
@@ -211,8 +208,8 @@ def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
                     v = stream.monomial(alg, config.max_depth)
                     w = GradedVector(module, {basis[k % len(basis)]: Fraction(1)})
                     inputs = {"algebra": alg.module_id, "module": module.module_id,
-                              "N": N, "u": _vec_repr(u), "v": _vec_repr(v),
-                              "w": _vec_repr(w)}
+                              "N": N, "u": vector_to_pairs(u), "v": vector_to_pairs(v),
+                              "w": vector_to_pairs(w)}
                     uv = star_product(alg, u, v, N)
                     prod_ok = o_action(module, uv, w) == o_action(module, u, o_action(module, v, w))
                     rep.add("zhu-quotient", "zero_mode_product", inputs,
@@ -235,7 +232,8 @@ def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
                 v = stream.monomial(alg, config.bimodule_max_depth)
                 w = stream.monomial(module, config.bimodule_max_depth)
                 inputs_base = {"module": module.module_id, "N": N,
-                               "u": _vec_repr(u), "v": _vec_repr(v), "w": _vec_repr(w)}
+                               "u": vector_to_pairs(u), "v": vector_to_pairs(v),
+                               "w": vector_to_pairs(w)}
                 for axiom_id in AXIOM_IDS:
                     cert, tried = check_axiom(module, axiom_id, u, v, w, N,
                                               config.window_margin, config.retries,
@@ -261,8 +259,8 @@ def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
                 u = stream.monomial(V, config.max_depth)
                 w1 = stream.monomial(W1, config.max_depth)
                 w2 = GradedVector(W2, {b2[k % len(b2)]: Fraction(1)})
-                inputs = {"lam": lam_s, "mu": mu_s, "N": N, "u": _vec_repr(u),
-                          "w1": _vec_repr(w1), "w2": _vec_repr(w2)}
+                inputs = {"lam": lam_s, "mu": mu_s, "N": N, "u": vector_to_pairs(u),
+                          "w1": vector_to_pairs(w1), "w2": vector_to_pairs(w2)}
                 out = induced_hom(it, N, w1, w2)
                 rep.add("intertwiner-rho", "image_containment", inputs,
                         "pass" if out.max_depth() <= N else "fail")

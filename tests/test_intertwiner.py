@@ -13,6 +13,7 @@ from voazhu.instances import fock, heisenberg_voa
 from voazhu.intertwiner import (FockIntertwiner, TableIntertwiner,
                                 check_derivative_rule, check_hom_properties,
                                 induced_hom, y0_part)
+from voazhu.modules import basis_window
 from voazhu.sampling import SampleStream
 from voazhu.zhu import omega0_basis
 
@@ -59,12 +60,18 @@ def test_degenerate_momentum_zero_is_module_operator():
     # w1 = lowest weight vector of F_0 acts like the vacuum: identity at -1
     assert it.mode(it.w1_module.lw(), -1, 0, w2) == w2
     assert it.mode(it.w1_module.lw(), 0, 0, w2).is_zero()
-    # composite w1 reproduces the module mode action of the same monomial
-    w1 = it.w1_module.basis_vector([("a", -1)])
-    for n in range(-3, 3):
-        got = it.mode_basis(w1, Fraction(n), 0, F3.basis_vector([("a", -1)]))
-        want = F3.mode_action(V.alpha(), n, w2)
-        assert got == want, n
+    # F_0 is V, so every mode is F_3's own vertex operator: the intertwiner
+    # and module paths through the iterate formula must agree
+    cases = 0
+    for w1_bv in basis_window(it.w1_module, 3):
+        u = V.monomial(w1_bv.modes)
+        for w2_bv in basis_window(F3, 2):
+            w2 = GradedVector(F3, {w2_bv: Fraction(1)})
+            for n in range(-4, 4):
+                got = it.mode_basis(w1_bv, Fraction(n), 0, w2_bv)
+                assert got == F3.mode_action(u, n, w2), (w1_bv, n, w2_bv)
+                cases += 1
+    assert cases == 224
 
 
 def test_intertwiner_commutator_identity(it12):
