@@ -59,10 +59,9 @@ class BimoduleContext(IdealWindow):
     the span of some of its families."""
 
 
-def bimodule_context(module: GenModule, N: int, depth: int,
-                     families: tuple = BIMODULE_FAMILIES) -> BimoduleContext:
-    """The window of O_N(W) (or of the span of ``families``) at depth, owned by W."""
-    return owned_window(BimoduleContext, module, N, depth, tuple(families))
+def bimodule_context(module: GenModule, N: int, depth: int) -> BimoduleContext:
+    """The window of O_N(W) at depth, owned by W."""
+    return owned_window(BimoduleContext, module, N, depth, BIMODULE_FAMILIES)
 
 
 def intertwiner_ideal_context(module: GenModule, N: int, depth: int) -> BimoduleContext:

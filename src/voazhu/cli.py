@@ -31,7 +31,7 @@ from .errors import VoazhuError
 from .identities import check_identity_families
 from .intertwiner import fusion_report
 from .report import SuiteConfig, report_json, run_suite
-from .serialize import pairs_to_vector, parse_module_spec, vector_to_pairs
+from .serialize import monomial_depth, pairs_to_vector, parse_module_spec, vector_to_pairs
 from .zhu import lp_element, zhu_context
 
 
@@ -70,18 +70,15 @@ def _algebra(text: str):
     return module
 
 
-def _read_element(algebra, path: str):
-    """The element stored in a JSON file of [monomial, coefficient] pairs."""
-    try:
-        with open(path) as fh:
-            pairs = json.load(fh)
-        if not (isinstance(pairs, list)
-                and all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-                        for p in pairs)):
-            raise ValueError("expected a JSON list of [monomial, coefficient] pairs")
-        return pairs, pairs_to_vector(algebra, pairs)
-    except (OSError, ValueError, VoazhuError) as exc:
-        raise InputError(f"element file {path}: {exc}") from None
+def _read_element(path: str) -> list:
+    """The [monomial, coefficient] pairs stored in a JSON element file."""
+    with open(path) as fh:
+        pairs = json.load(fh)
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                    for p in pairs)):
+        raise ValueError("expected a JSON list of [monomial, coefficient] pairs")
+    return pairs
 
 
 def _emit(payload, args, flatten_rows=None):
@@ -184,10 +181,17 @@ def cmd_fusion(args):
 
 def cmd_reduce(args):
     algebra = args.algebra
-    pairs, x = _read_element(algebra, args.element_file)
+    try:
+        pairs = _read_element(args.element_file)
+        # by its text, before anything is built: a(-1)^100000000 takes minutes
+        for mono, _ in pairs:
+            if args.depth is not None and monomial_depth(mono) > args.depth:
+                raise ValueError(f"monomial {mono!r} has depth {monomial_depth(mono)}, "
+                                 f"beyond --depth {args.depth}")
+        x = pairs_to_vector(algebra, pairs)
+    except (OSError, ValueError, VoazhuError) as exc:
+        raise InputError(f"element file {args.element_file}: {exc}") from None
     depth = args.depth if args.depth is not None else x.max_depth() + 2 * args.n + 4
-    if x.max_depth() > depth:
-        raise InputError(f"element has depth {x.max_depth()}, beyond --depth {depth}")
     ctx = zhu_context(algebra, args.n, depth)
     reduced = ctx.subspace.reduce(x)
     cert = ctx.membership(x)

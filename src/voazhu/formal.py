@@ -51,22 +51,21 @@ def _clean(coeffs: dict) -> dict:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over the rationals in one variable."""
+    """Sparse Laurent polynomial over the rationals in one variable x."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, var: str = "x"):
+    def __init__(self, coeffs=None):
         raw = {} if coeffs is None else {int(e): as_scalar(c) for e, c in dict(coeffs).items()}
         self.coeffs = _clean(raw)
-        self.var = var
 
     @classmethod
-    def monomial(cls, exponent: int, coeff=ONE, var: str = "x") -> "LaurentPoly":
-        return cls({exponent: coeff}, var=var)
+    def monomial(cls, exponent: int, coeff=ONE) -> "LaurentPoly":
+        return cls({exponent: coeff})
 
     @classmethod
-    def one(cls, var: str = "x") -> "LaurentPoly":
-        return cls({0: ONE}, var=var)
+    def one(cls) -> "LaurentPoly":
+        return cls({0: ONE})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -81,16 +80,16 @@ class LaurentPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, ZERO) + c
-        return LaurentPoly(out, var=self.var)
+        return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, ZERO) - c
-        return LaurentPoly(out, var=self.var)
+        return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()}, var=self.var)
+        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -99,15 +98,15 @@ class LaurentPoly:
                 for e2, c2 in other.coeffs.items():
                     e = e1 + e2
                     out[e] = out.get(e, ZERO) + c1 * c2
-            return LaurentPoly(out, var=self.var)
+            return LaurentPoly(out)
         c = as_scalar(other)
-        return LaurentPoly({e: c0 * c for e, c0 in self.coeffs.items()}, var=self.var)
+        return LaurentPoly({e: c0 * c for e, c0 in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by var**k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, var=self.var)
+        """Multiply by x**k."""
+        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
@@ -117,7 +116,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.coeffs.items()))))
+        return hash(tuple(sorted(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -128,24 +127,17 @@ class LaurentPoly:
             if e == 0:
                 parts.append(f"{c}")
             elif e == 1:
-                parts.append(f"{c}*{self.var}")
+                parts.append(f"{c}*x")
             else:
-                parts.append(f"{c}*{self.var}^{e}")
+                parts.append(f"{c}*x^{e}")
         return " + ".join(parts)
 
 
-def binom_poly(a: int, var: str = "x") -> LaurentPoly:
+def binom_poly(a: int) -> LaurentPoly:
     """(1+x)**a for a *nonnegative integer* a, as an exact Laurent polynomial."""
     if a < 0:
         raise ValueError("binom_poly needs a >= 0")
-    return LaurentPoly({j: binom(a, j) for j in range(a + 1)}, var=var)
-
-
-def residue(s) -> Fraction:
-    """Coefficient of x**(-1) of a Laurent polynomial."""
-    if isinstance(s, LaurentPoly):
-        return s.residue()
-    raise TypeError(f"residue: unsupported operand {type(s).__name__}")
+    return LaurentPoly({j: binom(a, j) for j in range(a + 1)})
 
 
 class BivariatePoly:

@@ -42,12 +42,6 @@ class HeisenbergVOA(VOAlgebra):
     def __init__(self):
         super().__init__("heis", central_charge=1, min_part=1)
 
-    def kind(self) -> str:
-        return "heisenberg_fock"
-
-    def params(self) -> dict:
-        return {"lambda": "0"}
-
     def generator_tags(self) -> dict:
         return {TAG: 1}
 
@@ -73,12 +67,6 @@ class FockModule(GenModule):
             algebra=algebra,
             min_part=1,
         )
-
-    def kind(self) -> str:
-        return "heisenberg_fock"
-
-    def params(self) -> dict:
-        return {"lambda": str(self.momentum)}
 
     def generator_tags(self) -> dict:
         return {TAG: 1}

@@ -50,16 +50,3 @@ def verma(c, h) -> VermaModule:
         _registry[key] = VermaModule(virasoro_voa(c), h)
     return _registry[key]
 
-
-def module_from_descriptor(desc: dict):
-    """Rebuild a module from its JSON descriptor."""
-    kind = desc["kind"]
-    params = desc.get("params", {})
-    if kind == "heisenberg_fock":
-        lam = as_scalar(params.get("lambda", "0"))
-        return heisenberg_voa() if lam == 0 and desc.get("module_id") == "heis" else fock(lam)
-    if kind == "virasoro_vacuum":
-        return virasoro_voa(params["c"])
-    if kind == "virasoro_verma":
-        return verma(params["c"], params["h"])
-    raise ValueError(f"unknown module kind {kind!r}")

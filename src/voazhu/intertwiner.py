@@ -48,12 +48,6 @@ class LogIntertwiner:
         self.w3_module = w3_module
         self.log_bound = log_bound  # largest k with possibly nonzero modes
 
-    @property
-    def weight_offset(self) -> Fraction:
-        """h3 - h1 - h2, the exponent congruence offset."""
-        return (self.w3_module.lowest_weight - self.w1_module.lowest_weight
-                - self.w2_module.lowest_weight)
-
     def mode_basis(self, w1_bv: BasisVector, n, k: int, w2_bv: BasisVector) -> GradedVector:
         raise NotImplementedError
 
@@ -125,45 +119,28 @@ class FockIntertwiner(LogIntertwiner):
         self.depth_max = depth_max
         self._cache: dict = {}
 
-    def _exponential_terms(self, total: int, sign: int):
-        """The x^(±total) coefficient of exp(sign lam sum_p x^(±p) / p), by partition.
+    def _exponential(self, module: GenModule, bv: BasisVector, total: int,
+                     sign: int) -> GradedVector:
+        """x^(sign total) coefficient of exp(sign lam sum_p alpha(-sign p) x^(sign p) / p) bv.
 
-        Yields (mult, coeff) for each partition of total: ``mult`` maps a
-        part p to its multiplicity j, and coeff = prod_p (sign lam / p)^j / j!.
+        Each partition of total, with part p of multiplicity j, contributes
+        prod_p (sign lam / p)^j / j! alpha(-sign p)^j bv, the modes acting
+        through ``module.gen_action``: sign = -1 gives E_+(lam, x) on F_mu,
+        sign = +1 gives E_-(lam, x) on F_{lam+mu}.
         """
+        acc: dict = {}
         for parts in partitions(total, 1):
             mult: dict = {}
             for p in parts:
                 mult[p] = mult.get(p, 0) + 1
             coeff = Fraction(1)
+            cur = GradedVector(module, {bv: Fraction(1)})
             for p, j in mult.items():
                 coeff *= (sign * self.lam / p) ** j / factorial(j)
-            yield mult, coeff
-
-    def _annihilator_terms(self, w2_bv: BasisVector, s: int) -> dict:
-        """x^(-s) coefficient of E_+(lam, x) applied to one monomial of F_mu."""
-        acc: dict = {}
-        for mult, coeff in self._exponential_terms(s, -1):
-            cur = GradedVector(self.w2_module, {w2_bv: Fraction(1)})
-            for p, j in mult.items():
                 for _ in range(j):
-                    if cur.is_zero():
-                        break
-                    cur = self.w2_module.gen_action(HTAG, p, cur)
-            if not cur.is_zero():
-                accumulate(acc, cur, coeff)
-        return acc
-
-    def _creation_apply(self, bv: BasisVector, r: int) -> dict:
-        """x^r coefficient of E_-(lam, x) applied to one monomial of F_{lam+mu}."""
-        acc: dict = {}
-        for mult, coeff in self._exponential_terms(r, 1):
-            modes = list(bv.modes)
-            for p, j in mult.items():
-                modes.extend([(HTAG, -p)] * j)
-            out = self.w3_module.basis_vector(modes)
-            acc[out] = acc.get(out, ZERO) + coeff
-        return {bv2: c for bv2, c in acc.items() if c != 0}
+                    cur = module.gen_action(HTAG, -sign * p, cur)
+            accumulate(acc, cur, coeff)
+        return GradedVector(module, acc)
 
     def mode_basis(self, w1_bv: BasisVector, n, k: int, w2_bv: BasisVector) -> GradedVector:
         n = as_scalar(n)
@@ -189,15 +166,13 @@ class FockIntertwiner(LogIntertwiner):
             # bottom vector: expand the exponential operator directly
             d2 = w2_bv.depth
             acc: dict = {}
-            for s in range(0, d2 + 1):
-                r = d_out - (d2 - s)
-                if r < 0:
-                    continue
-                lowered = self._annihilator_terms(w2_bv, s)
-                for bv_mid, c_mid in lowered.items():
+            # E_+ lowers w2 by s, then E_- raises by d_out - (d2 - s) >= 0
+            for s in range(max(0, d2 - d_out), d2 + 1):
+                lowered = self._exponential(self.w2_module, w2_bv, s, -1)
+                for bv_mid, c_mid in lowered.terms.items():
                     shifted = BasisVector(self.w3_module.module_id, bv_mid.modes)
-                    for bv_out, c_out in self._creation_apply(shifted, r).items():
-                        acc[bv_out] = acc.get(bv_out, ZERO) + c_mid * c_out
+                    raised = self._exponential(self.w3_module, shifted, d_out - d2 + s, 1)
+                    accumulate(acc, raised, c_mid)
             out = GradedVector(self.w3_module, {b: c * self.normalization
                                                 for b, c in acc.items()})
         else:

@@ -230,10 +230,6 @@ class WindowSubspace:
     def rank(self) -> int:
         return self.ech.rank
 
-    def contains(self, gv: GradedVector) -> bool:
-        rem, _ = self.ech.reduce(self.window.row_of(gv))
-        return not rem
-
     def reduce(self, gv: GradedVector) -> GradedVector:
         """Canonical representative of gv modulo the subspace."""
         rem, _ = self.ech.reduce(self.window.row_of(gv))

@@ -62,12 +62,6 @@ class GenModule:
         """Action of the generator mode with physics index p on one monomial."""
         raise NotImplementedError
 
-    def kind(self) -> str:
-        raise NotImplementedError
-
-    def params(self) -> dict:
-        raise NotImplementedError
-
     # --- basis bookkeeping --------------------------------------------------
 
     def zero(self) -> GradedVector:
@@ -105,16 +99,6 @@ class GenModule:
 
     def weight_of(self, bv: BasisVector) -> Fraction:
         return self.lowest_weight + bv.depth
-
-    def l0n(self, gv: GradedVector) -> GradedVector:
-        """Nilpotent part of L(0); identically zero for all shipped instances."""
-        return self.zero()
-
-    def descriptor(self, depth_max: int | None = None) -> dict:
-        d = {"module_id": self.module_id, "kind": self.kind(), "params": self.params()}
-        if depth_max is not None:
-            d["depth_max"] = depth_max
-        return d
 
     # --- generator action, linear extension --------------------------------
 
@@ -191,21 +175,20 @@ def iterate_formula(out: GenModule, src: GenModule, tag: str, m: int, n, w_bv: B
     ``inner(k, bv)`` is u_(k) bv for bv in ``src``, with values in ``out``;
     a acts through ``out.gen_action`` in the first sum and ``src.gen_action``
     in the second.  The first sum stops at ``i_top``, the last i with
-    u_(n+i) w possibly nonzero, and at m when m >= 0 (C(m, i) = 0 beyond);
-    the second stops at g - 1 + depth w, beyond which a_(i) w = 0.  A
-    module's vertex operator passes out = src = the module, the free-boson
-    intertwiner out = W3 and src = W2.
+    u_(n+i) w possibly nonzero; the second at g - 1 + depth w, beyond which
+    a_(i) w = 0.  Neither stops at m or skips a zero C(m, i), because m <= -1
+    and C(m, i) never vanishes: a module's vertex operator passes out = src
+    = the module and the leading factor a(p) of an algebra monomial, with
+    p <= -g (a(p) 1 = 0 beyond) and m = p + g - 1; the free-boson
+    intertwiner passes out = W3, src = W2 and the leading current factor
+    alpha(p), p <= -1, of a monomial of F_lam, with m = p.
     """
     gen_wt = out.algebra.generator_tags()[tag]
     acc: dict = {}
 
     # first sum: a_(m-i) u_(n+i) w
-    if m >= 0:
-        i_top = min(i_top, m)
     for i in range(0, i_top + 1):
         c = binom(Fraction(m), i) * ((-1) ** i)
-        if c == 0:
-            continue
         v = inner(n + i, w_bv)
         if v.is_zero():
             continue
@@ -215,8 +198,6 @@ def iterate_formula(out: GenModule, src: GenModule, tag: str, m: int, n, w_bv: B
     sign = 1 if m % 2 else -1  # -(-1)**m
     for i in range(0, gen_wt + w_bv.depth):
         c = binom(Fraction(m), i) * ((-1) ** i) * sign
-        if c == 0:
-            continue
         aw = src.gen_action(tag, i - gen_wt + 1, w_bv)
         if aw.is_zero():
             continue
@@ -237,10 +218,6 @@ class VOAlgebra(GenModule):
 
     def omega(self) -> GradedVector:
         raise NotImplementedError
-
-    def virasoro_mode(self, module: GenModule, k: int, w: GradedVector) -> GradedVector:
-        """L(k) acting on a vector of any module over this algebra."""
-        return module.mode_action(self.omega(), k + 1, w)
 
 
 def basis_window(module: GenModule, depth: int) -> list:

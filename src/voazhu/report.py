@@ -108,6 +108,14 @@ def _algebras(config: SuiteConfig):
     return algebras
 
 
+def _modules_over(alg, config: SuiteConfig) -> list:
+    """The suite's modules over the algebra alg, alg itself excluded."""
+    if alg is heisenberg_voa():
+        return [fock(Fraction(m)) for m in config.heisenberg_momenta]
+    return [verma(alg.central_charge, Fraction(h)) for c, h in config.verma_params
+            if Fraction(c) == alg.central_charge]
+
+
 def _bimodule_instances(config: SuiteConfig):
     mods = [fock(Fraction(m)) for m in config.heisenberg_momenta]
     for c, h in config.verma_params:
@@ -124,13 +132,7 @@ def run_identities(config: SuiteConfig, rep: _Reporter) -> None:
 def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed)
     for alg in _algebras(config):
-        mods = [alg]
-        if alg.kind() == "heisenberg_fock":
-            mods.extend(fock(Fraction(m)) for m in config.heisenberg_momenta)
-        else:
-            mods.extend(verma(alg.central_charge, Fraction(h))
-                        for c, h in config.verma_params
-                        if Fraction(c) == alg.central_charge)
+        mods = [alg] + _modules_over(alg, config)
         for k in range(config.mode_samples):
             module = mods[k % len(mods)]
             u = stream.monomial(alg, config.max_depth)
@@ -194,13 +196,7 @@ def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
 def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 2)
     for alg in _algebras(config):
-        if alg.kind() == "heisenberg_fock":
-            modules = [fock(Fraction(m)) for m in config.heisenberg_momenta]
-        else:
-            modules = [verma(alg.central_charge, Fraction(h))
-                       for c, h in config.verma_params
-                       if Fraction(c) == alg.central_charge]
-        for module in modules:
+        for module in _modules_over(alg, config):
             for N in config.n_values:
                 basis = omega0_basis(module, N)
                 for k in range(config.quotient_samples):

@@ -47,9 +47,8 @@ class SampleStream:
                 return module.monomial([(tag, -p) for p in parts])
         return module.lw()
 
-    def homogeneous(self, module: GenModule, max_depth: int,
-                    max_terms: int = 2) -> GradedVector:
-        """A small rational combination within a single weight."""
+    def homogeneous(self, module: GenModule, max_depth: int) -> GradedVector:
+        """A combination of one or two monomials within a single weight."""
         for _ in range(max_depth + 2):
             d = self.depth(max_depth)
             opts = partitions(d, module.min_part)
@@ -58,7 +57,7 @@ class SampleStream:
         else:
             return module.lw()
         tag = next(iter(module.generator_tags()))
-        k = self.rng.randint(1, min(max_terms, len(opts)))
+        k = self.rng.randint(1, min(2, len(opts)))
         picks = self.rng.sample(list(opts), k)
         out = module.zero()
         for parts in picks:

@@ -42,6 +42,11 @@ def monomial_str(bv: BasisVector) -> str:
     return " ".join(out)
 
 
+def monomial_depth(text: str) -> int:
+    """The depth of a monomial, read from its text without building it."""
+    return -sum(int(m[2]) * int(m[3] or 1) for m in map(_FACTOR.match, text.split()) if m)
+
+
 def parse_monomial(module: GenModule, text: str) -> BasisVector:
     text = text.strip()
     if text in ("", "1", "lw"):

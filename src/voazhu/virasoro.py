@@ -54,12 +54,6 @@ class VirasoroVOA(VOAlgebra):
         c = as_scalar(central_charge)
         super().__init__(f"vir(c={c})", central_charge=c, min_part=2)
 
-    def kind(self) -> str:
-        return "virasoro_vacuum"
-
-    def params(self) -> dict:
-        return {"c": str(self.central_charge)}
-
     def generator_tags(self) -> dict:
         return {TAG: 2}
 
@@ -81,12 +75,6 @@ class VermaModule(GenModule):
             algebra=algebra,
             min_part=1,
         )
-
-    def kind(self) -> str:
-        return "virasoro_verma"
-
-    def params(self) -> dict:
-        return {"c": str(self.algebra.central_charge), "h": str(self.h)}
 
     def generator_tags(self) -> dict:
         return {TAG: 2}

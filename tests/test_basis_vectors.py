@@ -4,7 +4,6 @@ import pytest
 
 from voazhu.basis import GradedVector, canonical_modes, sort_key
 from voazhu.errors import UnknownGeneratorError
-from voazhu.instances import module_from_descriptor
 from voazhu.modules import basis_window, partitions
 
 
@@ -65,14 +64,6 @@ def test_basis_window_ordering(heis):
     assert depths == sorted(depths)
     assert len(window) == 1 + 1 + 2 + 3
     assert window == sorted(window, key=sort_key)
-
-
-def test_module_descriptor_roundtrip(fock_half, verma_ising):
-    for module in (fock_half, verma_ising):
-        desc = module.descriptor(depth_max=10)
-        again = module_from_descriptor(desc)
-        assert again is module  # registry returns the shared instance
-        assert desc["depth_max"] == 10
 
 
 def test_cross_module_vectors_rejected(fock_one, fock_half):

@@ -233,4 +233,4 @@ def test_intertwiner_ideal_is_smaller(fock_one):
     circ_only = intertwiner_ideal_context(fock_one, 0, 6)
     assert circ_only.subspace.rank < full.subspace.rank
     for g in circ_only.subspace.gens:
-        assert full.subspace.contains(g)
+        assert full.subspace.reduce(g).is_zero()

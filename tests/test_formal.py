@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voazhu.formal import BivariatePoly, LaurentPoly, binom, binom_poly, residue
+from voazhu.formal import BivariatePoly, LaurentPoly, binom, binom_poly
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -30,10 +30,10 @@ def test_binom_pascal_recurrence(a, k):
 
 def test_residue_examples():
     p = LaurentPoly({-1: 3, 0: 2})
-    assert residue(p) == 3
-    assert residue(LaurentPoly({2: 1})) == 0
+    assert p.residue() == 3
+    assert LaurentPoly({2: 1}).residue() == 0
     shifted = LaurentPoly({0: 1, 1: 2, 2: 1}).shift(-2)
-    assert residue(shifted) == 2
+    assert shifted.residue() == 2
 
 
 def test_laurent_arithmetic_ring_axioms():

@@ -1,6 +1,7 @@
 """Report determinism and the command line surface."""
 
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -227,3 +228,22 @@ def test_cli_exponent_rationals_fail_fast(tmp_path, src_env):
         assert proc.returncode == 2, (name, proc.stderr)
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_reduce_refuses_deep_monomial_before_building(tmp_path, src_env):
+    """A monomial beyond --depth is refused by its text.  Building
+    a(-1)^100000000 first does not finish within the timeout; the 1 GB
+    address-space limit keeps such a build from exhausting the machine."""
+    elem = tmp_path / "deep.json"
+    elem.write_text(json.dumps([["a(-1)^100000000", "1"]]))
+    argv = ["reduce", str(elem), "--algebra", "heisenberg", "--depth", "4"]
+    proc = subprocess.run([sys.executable, "-m", "voazhu.cli", *argv], capture_output=True,
+                          text=True, env=src_env, timeout=30, preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "depth 100000000, beyond --depth 4" in proc.stderr

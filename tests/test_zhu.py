@@ -94,8 +94,8 @@ def test_enumeration_order_independence(vir_half):
     for g in gens:
         shuffled.add_generator(g)
     assert shuffled.rank == ctx.subspace.rank
-    assert all(shuffled.contains(g) for g in ctx.subspace.gens)
-    assert all(ctx.subspace.contains(g) for g in shuffled.gens)
+    assert all(shuffled.reduce(g).is_zero() for g in ctx.subspace.gens)
+    assert all(ctx.subspace.reduce(g).is_zero() for g in shuffled.gens)
 
 
 def test_membership_monotone_in_window(heis):
@@ -147,13 +147,13 @@ def test_omega0_inside_omega(fock_one, verma_ising):
     for module, N in ((fock_one, 0), (fock_one, 1), (verma_ising, 1)):
         sub = omega_subspace(module, N, depth_max=N + 3, gen_weight_max=3)
         for bv in omega0_basis(module, N):
-            assert sub.contains(GradedVector(module, {bv: Fraction(1)}))
+            assert sub.reduce(GradedVector(module, {bv: Fraction(1)})).is_zero()
 
 
 def test_omega_subspace_examples(fock_one):
     sub = omega_subspace(fock_one, 0, 3, 3)
     assert sub.rank == 1
-    assert sub.contains(fock_one.lw())
+    assert sub.reduce(fock_one.lw()).is_zero()
     total = omega_subspace(fock_one, 3, 3, 3)
     assert total.rank == len(total.window)
 
