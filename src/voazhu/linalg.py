@@ -3,16 +3,15 @@
 Row reduction is fraction-free: rows are kept as primitive integer
 dictionaries and eliminations use cross-multiplication followed by a
 gcd strip, so no rational arithmetic happens inside the elimination
-loop.  An optional augmented block tracks how each reduced row is
-assembled from the original input rows, which is what turns a successful
-reduction into an explicit membership witness.
+loop.  An optional augmented block tracks how each stored row is
+assembled from the input rows as supplied, which is what turns a
+successful reduction into an explicit membership witness.
 
-Row and combo dicts are only ever replaced in their lists, never mutated
-once the step that built them has finished: elimination builds a new dict
-and stores it in place of the old one.  Copying the lists is therefore
-enough to fork an echelon form, and the fork and the original share every
-row they have in common (``SparseEchelon.copy``, growing a
-``WindowSubspace``).
+The form is a plain echelon form, not a reduced one: an insert only
+appends a row and its combo, and never touches a stored one.  Copying the
+lists is therefore enough to fork an echelon form, and the fork and the
+original share every row they have in common (``SparseEchelon.copy``,
+growing a ``WindowSubspace``).
 """
 
 from __future__ import annotations
@@ -55,22 +54,20 @@ def _combine(a: dict, b: dict, ca: int, cb: int) -> dict:
 
 
 class SparseEchelon:
-    """Incrementally maintained reduced echelon form of integer sparse rows.
+    """Incrementally maintained echelon form of sparse rows.
 
-    ``pivot="min"`` picks the lowest column index of each row as its pivot
-    (plain reduced echelon form); ``pivot="max"`` picks the highest, which
-    makes the *low* columns the surviving coset representatives when the
-    form is used to quotient a graded window by a span.
+    Each row's pivot is its highest column, which makes the *low* columns
+    the surviving coset representatives when the form is used to quotient a
+    graded window by a span.  With ``track_combos`` each stored row carries
+    the integer combination of the input rows, as supplied, that it equals.
     """
 
-    def __init__(self, track_combos: bool = False, pivot: str = "min"):
-        self.rows: list[dict] = []      # primitive integer rows, mutually reduced
+    def __init__(self, track_combos: bool = False):
+        self.rows: list[dict] = []      # primitive integer rows, distinct pivots
         self.combos: list[dict] = []    # parallel integer combo rows (input index -> coeff)
         self.pivots: dict[int, int] = {}  # pivot column -> row index
         self.track = track_combos
         self.n_inserted = 0
-        self.input_scale: dict[int, int] = {}  # input index -> denominator cleared on insert
-        self._lead = max if pivot == "max" else min
 
     @property
     def rank(self) -> int:
@@ -80,17 +77,23 @@ class SparseEchelon:
         """An independent echelon form that shares this one's row dicts."""
         new = copy.copy(self)
         new.rows, new.combos = list(self.rows), list(self.combos)
-        new.pivots, new.input_scale = dict(self.pivots), dict(self.input_scale)
+        new.pivots = dict(self.pivots)
         return new
 
-    def insert(self, row: dict) -> bool:
-        """Insert an integer row; returns True if it increased the rank."""
+    def insert_rational(self, row: dict) -> bool:
+        """Insert a Fraction-valued row; returns True if it increased the rank.
+
+        Zero rows still consume an input index.
+        """
         idx = self.n_inserted
         self.n_inserted += 1
-        r = dict(row)
-        combo = {idx: 1} if self.track else {}
+        den = 1
+        for v in row.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        r = {k: int(v * den) for k, v in row.items() if v != 0}
+        combo = {idx: den} if self.track else {}
         while r:
-            lead = self._lead(r)
+            lead = max(r)
             hit = self.pivots.get(lead)
             if hit is None:
                 break
@@ -102,34 +105,10 @@ class SparseEchelon:
             _strip_gcd(r, combo)
         if not r:
             return False
-        lead = self._lead(r)
-        if r[lead] < 0:
-            r = {k: -v for k, v in r.items()}
-            combo = {k: -v for k, v in combo.items()}
-        # back-eliminate the new pivot column from the existing rows
-        for i, other in enumerate(self.rows):
-            if lead in other:
-                a, b = r[lead], other[lead]
-                self.rows[i] = _combine(other, r, a, -b)
-                if self.track:
-                    self.combos[i] = _combine(self.combos[i], combo, a, -b)
-                _strip_gcd(self.rows[i], self.combos[i] if self.track else {})
         self.rows.append(r)
         self.combos.append(combo)
         self.pivots[lead] = len(self.rows) - 1
         return True
-
-    def insert_rational(self, row: dict) -> bool:
-        """Insert a Fraction-valued row after clearing denominators."""
-        if not row:
-            self.n_inserted += 1  # zero rows still consume a combo index
-            return False
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        introw = {k: int(v * den) for k, v in row.items() if v != 0}
-        self.input_scale[self.n_inserted] = den
-        return self.insert(introw)
 
     def reduce(self, row: dict):
         """Reduce a Fraction row; returns (remainder, combo over input rows).
@@ -140,9 +119,9 @@ class SparseEchelon:
         """
         rem = {k: v for k, v in row.items() if v != 0}
         combo: dict[int, Fraction] = {}
-        # eliminate in lead order so entries a row introduces on its non-lead
-        # side are handled by later iterations
-        for lead in sorted(self.pivots, reverse=self._lead is max):
+        # eliminate from the highest pivot down: a pivot row's other entries
+        # lie below its pivot, so later iterations clear what it introduces
+        for lead in sorted(self.pivots, reverse=True):
             c = rem.get(lead)
             if not c:
                 continue
@@ -211,9 +190,7 @@ class WindowSubspace:
                  base: "WindowSubspace | None" = None):
         self.window = window
         if base is None:
-            # pivot on the deepest columns so the quotient's surviving coset
-            # representatives sit at the bottom of the window
-            self.ech = SparseEchelon(track_combos=track, pivot="max")
+            self.ech = SparseEchelon(track_combos=track)
             self.gens: list[GradedVector] = []
         else:
             if base.window.module is not window.module or base.window.depth > window.depth:
@@ -241,12 +218,8 @@ class WindowSubspace:
         if rem:
             return None
         # combo indices refer to insertion order, which matches self.gens;
-        # rows that failed to increase rank still consumed an index.  The
-        # echelon rows were built from denominator-cleared inputs, so scale
-        # back to coefficients over the generators as supplied.
-        scale = self.ech.input_scale
-        return {i: c * scale.get(i, 1)
-                for i, c in sorted(combo.items()) if c != 0}
+        # rows that failed to increase rank still consumed an index
+        return {i: c for i, c in sorted(combo.items()) if c != 0}
 
     def quotient_dims_by_depth(self) -> list:
         """Per-depth upper bounds for the dimensions of window/(subspace)."""
@@ -261,8 +234,9 @@ class WindowSubspace:
 def kernel_basis(rows: list, ncols: int) -> list:
     """Basis of the solution space of (rows) . x = 0, x in Q^ncols.
 
-    rows are Fraction dicts keyed by column.  Returns reduced-echelon
-    kernel vectors as Fraction dicts, one per free column.
+    rows are Fraction dicts keyed by column.  Returns one kernel vector
+    per free column, as a Fraction dict that is 1 at that column and 0 at
+    every other free column.
     """
     ech = SparseEchelon()
     for r in rows:
@@ -272,9 +246,9 @@ def kernel_basis(rows: list, ncols: int) -> list:
     basis = []
     for fc in free_cols:
         sol = {fc: Fraction(1)}
-        # pivot variables are determined by back-substitution; rows are
-        # mutually reduced, so each pivot row only involves free columns
-        for lead in sorted(pivots, reverse=True):
+        # back-substitution: a pivot row's other columns lie below its pivot,
+        # so they are free or pivots already solved in ascending order
+        for lead in sorted(pivots):
             prow = ech.rows[pivots[lead]]
             s = ZERO
             for k, v in prow.items():

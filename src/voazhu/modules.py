@@ -188,19 +188,19 @@ def iterate_formula(out: GenModule, src: GenModule, tag: str, m: int, n, w_bv: B
 
     # first sum: a_(m-i) u_(n+i) w
     for i in range(0, i_top + 1):
-        c = binom(Fraction(m), i) * ((-1) ** i)
         v = inner(n + i, w_bv)
         if v.is_zero():
             continue
+        c = binom(Fraction(m), i) * ((-1) ** i)
         accumulate(acc, out.gen_action(tag, (m - i) - gen_wt + 1, v), c)
 
     # second sum: u_(m+n-i) a_(i) w
     sign = 1 if m % 2 else -1  # -(-1)**m
     for i in range(0, gen_wt + w_bv.depth):
-        c = binom(Fraction(m), i) * ((-1) ** i) * sign
         aw = src.gen_action(tag, i - gen_wt + 1, w_bv)
         if aw.is_zero():
             continue
+        c = binom(Fraction(m), i) * ((-1) ** i) * sign
         for bv2, c2 in aw.terms.items():
             accumulate(acc, inner(m + n - i, bv2), c * c2)
     return GradedVector(out, acc)

@@ -116,13 +116,6 @@ def _modules_over(alg, config: SuiteConfig) -> list:
             if Fraction(c) == alg.central_charge]
 
 
-def _bimodule_instances(config: SuiteConfig):
-    mods = [fock(Fraction(m)) for m in config.heisenberg_momenta]
-    for c, h in config.verma_params:
-        mods.append(verma(Fraction(c), Fraction(h)))
-    return mods
-
-
 def run_identities(config: SuiteConfig, rep: _Reporter) -> None:
     for family, n, ok, extra in check_identity_families(
             config.identity_max_n, config.alt_sum_max_n, config.bivariate_max_n):
@@ -220,23 +213,23 @@ def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
 
 def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 3)
-    for module in _bimodule_instances(config):
-        alg = module.algebra
-        for N in config.n_values:
-            for _ in range(config.bimodule_samples):
-                u = stream.monomial(alg, config.bimodule_max_depth)
-                v = stream.monomial(alg, config.bimodule_max_depth)
-                w = stream.monomial(module, config.bimodule_max_depth)
-                inputs_base = {"module": module.module_id, "N": N,
-                               "u": vector_to_pairs(u), "v": vector_to_pairs(v),
-                               "w": vector_to_pairs(w)}
-                for axiom_id in AXIOM_IDS:
-                    cert, tried = check_axiom(module, axiom_id, u, v, w, N,
-                                              config.window_margin, config.retries,
-                                              config.window_cap)
-                    inputs = dict(inputs_base, axiom=axiom_id)
-                    rep.add("an-bimodule", axiom_id, inputs, cert.status,
-                            windows_tried=tried, witness_size=cert.witness_size())
+    for alg in _algebras(config):
+        for module in _modules_over(alg, config):
+            for N in config.n_values:
+                for _ in range(config.bimodule_samples):
+                    u = stream.monomial(alg, config.bimodule_max_depth)
+                    v = stream.monomial(alg, config.bimodule_max_depth)
+                    w = stream.monomial(module, config.bimodule_max_depth)
+                    inputs_base = {"module": module.module_id, "N": N,
+                                   "u": vector_to_pairs(u), "v": vector_to_pairs(v),
+                                   "w": vector_to_pairs(w)}
+                    for axiom_id in AXIOM_IDS:
+                        cert, tried = check_axiom(module, axiom_id, u, v, w, N,
+                                                  config.window_margin, config.retries,
+                                                  config.window_cap)
+                        inputs = dict(inputs_base, axiom=axiom_id)
+                        rep.add("an-bimodule", axiom_id, inputs, cert.status,
+                                windows_tried=tried, witness_size=cert.witness_size())
 
 
 def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:

@@ -28,25 +28,26 @@ def test_rank_matches_dense_oracle(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, rng.randint(1, 10), rng.randint(1, 8))
     ncols = 8
-    for pivot in ("min", "max"):
-        ech = SparseEchelon(pivot=pivot)
-        for r in rows:
-            ech.insert_rational(dict(r))
-        rank, _ = dense_rref(rows, ncols)
-        assert ech.rank == rank
+    ech = SparseEchelon()
+    for r in rows:
+        ech.insert_rational(dict(r))
+    # pivots are the highest columns, i.e. the lowest after reversing them
+    reversed_rows = [{ncols - 1 - c: v for c, v in r.items()} for r in rows]
+    rank, pivots = dense_rref(reversed_rows, ncols)
+    assert ech.rank == rank
+    assert set(ech.pivots) == {ncols - 1 - c for c in pivots}
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_reduce_leaves_no_pivot_support(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, 8, 6)
-    for pivot in ("min", "max"):
-        ech = SparseEchelon(pivot=pivot)
-        for r in rows:
-            ech.insert_rational(dict(r))
-        probe = {c: Fraction(rng.randint(-5, 5)) for c in range(6)}
-        rem, _ = ech.reduce(dict(probe))
-        assert not set(rem) & set(ech.pivots)
+    ech = SparseEchelon()
+    for r in rows:
+        ech.insert_rational(dict(r))
+    probe = {c: Fraction(rng.randint(-5, 5)) for c in range(6)}
+    rem, _ = ech.reduce(dict(probe))
+    assert not set(rem) & set(ech.pivots)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
@@ -54,8 +55,7 @@ def test_membership_and_witness_roundtrip(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, 6, 6)
     ech = SparseEchelon(track_combos=True)
-    for r in rows:
-        ech.insert_rational(dict(r))
+    gained = {i for i, r in enumerate(rows) if ech.insert_rational(dict(r))}
     # a random combination of inputs must reduce to zero with a correct combo
     coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
     target = {}
@@ -65,10 +65,13 @@ def test_membership_and_witness_roundtrip(seed):
     target = {k: v for k, v in target.items() if v}
     rem, combo = ech.reduce(dict(target))
     assert not rem
+    # the witness names only inputs that added rank, with coefficients over
+    # the rows as supplied
+    assert set(combo) <= gained
     rebuilt = {}
     for idx, t in combo.items():
         for k, v in rows[idx].items():
-            rebuilt[k] = rebuilt.get(k, Fraction(0)) + t * v * ech.input_scale.get(idx, 1)
+            rebuilt[k] = rebuilt.get(k, Fraction(0)) + t * v
     rebuilt = {k: v for k, v in rebuilt.items() if v}
     assert rebuilt == target
 

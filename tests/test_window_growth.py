@@ -97,7 +97,6 @@ def _snapshot(ctx):
         "rank": ech.rank,
         "pivots": dict(ech.pivots),
         "n_inserted": ech.n_inserted,
-        "input_scale": dict(ech.input_scale),
         "gens": list(ctx.subspace.gens),
         "rows": [dict(r) for r in ech.rows],
         "combos": [dict(c) for c in ech.combos],
