@@ -299,6 +299,12 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         rem, _ = sub.ech.reduce(ctx.window.row_of(vec))
         return {col_pos[c]: v for c, v in rem.items()}
 
+    def o_matrix(W: GenModule, u: GradedVector, basis: list) -> list:
+        """Column i -> the coordinates over basis of o(u) basis[i]."""
+        pos = {bv: i for i, bv in enumerate(basis)}
+        outs = (o_action(W, u, GradedVector(W, {bv: Fraction(1)})) for bv in basis)
+        return [{pos[b]: c for b, c in out.terms.items()} for out in outs]
+
     ech = SparseEchelon()
 
     def constrain(product: dict, b2i: int, r: int, o_terms) -> None:
@@ -311,19 +317,11 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
             row[key] = row.get(key, ZERO) - c
         ech.insert_rational({k: v for k, v in row.items() if v != 0})
 
-    # o(u) matrices on the bottom slices
     nvars = nq * n2 * n3
     for a in range(1, min(window, 6) + 1):
         for u_bv in algebra.basis_at_depth(a):
             u = GradedVector(algebra, {u_bv: Fraction(1)})
-            m3 = []  # column b3i -> coords over b3
-            for bv in b3:
-                out = o_action(W3, u, GradedVector(W3, {bv: Fraction(1)}))
-                m3.append({b3.index(b): c for b, c in out.terms.items()})
-            m2 = []
-            for bv in b2:
-                out = o_action(W2, u, GradedVector(W2, {bv: Fraction(1)}))
-                m2.append({b2.index(b): c for b, c in out.terms.items()})
+            m3, m2 = o_matrix(W3, u, b3), o_matrix(W2, u, b2)
             for qi, col in enumerate(q_cols):
                 qvec = GradedVector(W1, {ctx.window.basis[col]: Fraction(1)})
                 if a + ctx.window.basis[col].depth + 2 * N > window:

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Row reduction is fraction-free: rows are kept as primitive integer
-dictionaries and eliminations use cross-multiplication followed by a
-gcd strip, so no rational arithmetic happens inside the elimination
-loop.  An optional augmented block tracks how each stored row is
-assembled from the input rows as supplied, which is what turns a
-successful reduction into an explicit membership witness.
+Row reduction is fraction-free: a row is scaled to integers once, and
+eliminations use cross-multiplication followed by a gcd strip, so no
+rational arithmetic happens inside the one elimination loop
+(``SparseEchelon._eliminate``) that inserts, reductions and kernel bases
+share.  Every stored row carries its combo, the combination of the input
+rows it equals, which turns a reduction into a membership witness.
 
 The form is a plain echelon form, not a reduced one: an insert only
 appends a row and its combo, and never touches a stored one.  Copying the
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .basis import GradedVector
 from .errors import WindowOverflowError
-from .formal import ZERO
 from .modules import GenModule, basis_window
 
 
@@ -41,9 +40,7 @@ def _strip_gcd(*dicts) -> None:
 
 def _combine(a: dict, b: dict, ca: int, cb: int) -> dict:
     """ca*a + cb*b over int dicts, dropping zeros."""
-    out = {}
-    for k, v in a.items():
-        out[k] = ca * v
+    out = {k: ca * v for k, v in a.items()}
     for k, v in b.items():
         s = out.get(k, 0) + cb * v
         if s:
@@ -53,20 +50,27 @@ def _combine(a: dict, b: dict, ca: int, cb: int) -> dict:
     return out
 
 
+def _scaled(row: dict, key) -> tuple:
+    """A Fraction row as integers, and the combo {key: scale} that records it."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items() if v != 0}, {key: den}
+
+
 class SparseEchelon:
     """Incrementally maintained echelon form of sparse rows.
 
     Each row's pivot is its highest column, which makes the *low* columns
     the surviving coset representatives when the form is used to quotient a
-    graded window by a span.  With ``track_combos`` each stored row carries
-    the integer combination of the input rows, as supplied, that it equals.
+    graded window by a span.  Each stored row carries the integer
+    combination of the input rows, as supplied, that it equals.
     """
 
-    def __init__(self, track_combos: bool = False):
-        self.rows: list[dict] = []      # primitive integer rows, distinct pivots
+    def __init__(self):
+        # integer rows with distinct pivots, not primitive: the gcd is
+        # stripped from a row and its combo together
+        self.rows: list[dict] = []
         self.combos: list[dict] = []    # parallel integer combo rows (input index -> coeff)
         self.pivots: dict[int, int] = {}  # pivot column -> row index
-        self.track = track_combos
         self.n_inserted = 0
 
     @property
@@ -80,18 +84,10 @@ class SparseEchelon:
         new.pivots = dict(self.pivots)
         return new
 
-    def insert_rational(self, row: dict) -> bool:
-        """Insert a Fraction-valued row; returns True if it increased the rank.
-
-        Zero rows still consume an input index.
-        """
-        idx = self.n_inserted
-        self.n_inserted += 1
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        r = {k: int(v * den) for k, v in row.items() if v != 0}
-        combo = {idx: den} if self.track else {}
+    def _eliminate(self, r: dict, combo: dict) -> tuple:
+        """Clear r's pivot leads, highest first: r <- a*r - b*row with the
+        combo alongside, then strip their joint gcd.  Stops at r = 0 or at a
+        lead that is no pivot; returns the new (r, combo)."""
         while r:
             lead = max(r)
             hit = self.pivots.get(lead)
@@ -100,15 +96,25 @@ class SparseEchelon:
             prow = self.rows[hit]
             a, b = prow[lead], r[lead]
             r = _combine(r, prow, a, -b)
-            if self.track:
-                combo = _combine(combo, self.combos[hit], a, -b)
+            combo = _combine(combo, self.combos[hit], a, -b)
             _strip_gcd(r, combo)
-        if not r:
-            return False
+        return r, combo
+
+    def _append(self, r: dict, combo: dict) -> None:
+        self.pivots[max(r)] = len(self.rows)
         self.rows.append(r)
         self.combos.append(combo)
-        self.pivots[lead] = len(self.rows) - 1
-        return True
+
+    def insert_rational(self, row: dict) -> bool:
+        """Insert a Fraction-valued row; returns True if it increased the rank.
+
+        Zero rows still consume an input index.
+        """
+        r, combo = self._eliminate(*_scaled(row, self.n_inserted))
+        self.n_inserted += 1
+        if r:
+            self._append(r, combo)
+        return bool(r)
 
     def reduce(self, row: dict):
         """Reduce a Fraction row; returns (remainder, combo over input rows).
@@ -117,31 +123,16 @@ class SparseEchelon:
         combo maps original input-row indices to rational coefficients such
         that  input_row_combination + remainder = row.
         """
-        rem = {k: v for k, v in row.items() if v != 0}
-        combo: dict[int, Fraction] = {}
-        # eliminate from the highest pivot down: a pivot row's other entries
-        # lie below its pivot, so later iterations clear what it introduces
-        for lead in sorted(self.pivots, reverse=True):
-            c = rem.get(lead)
-            if not c:
-                continue
-            ridx = self.pivots[lead]
-            prow = self.rows[ridx]
-            t = c / prow[lead]
-            for k, v in prow.items():
-                s = rem.get(k, ZERO) - t * v
-                if s == 0:
-                    rem.pop(k, None)
-                else:
-                    rem[k] = s
-            if self.track:
-                for k, v in self.combos[ridx].items():
-                    s = combo.get(k, ZERO) + t * v
-                    if s == 0:
-                        combo.pop(k, None)
-                    else:
-                        combo[k] = s
-        return rem, combo
+        # the row is a virtual input keyed None, so r = combo[None] * row +
+        # stored inputs; a lead that is no pivot is final and set aside
+        r, combo = self._eliminate(*_scaled(row, None))
+        rem = {}
+        while r:
+            lead = max(r)
+            rem[lead] = Fraction(r.pop(lead), combo[None])
+            r, combo = self._eliminate(r, combo)
+        s = combo.pop(None)
+        return rem, {i: Fraction(-c, s) for i, c in combo.items()}
 
 class ModuleWindow:
     """The finite-dimensional graded slice of a module up to a given depth."""
@@ -173,10 +164,8 @@ class ModuleWindow:
 
 
 class WindowSubspace:
-    """A row-reduced subspace of a module window, with optional witnesses.
-
-    With ``track`` the echelon form carries combination tracking, so
-    positive membership answers come with the exact rational combination of
+    """A row-reduced subspace of a module window, with witnesses: positive
+    membership answers come with the exact rational combination of
     generators that reproduces the queried vector.
 
     ``base`` grows a subspace of a shallower window of the same module onto
@@ -186,11 +175,10 @@ class WindowSubspace:
     indices stay valid.
     """
 
-    def __init__(self, window: ModuleWindow, track: bool = True,
-                 base: "WindowSubspace | None" = None):
+    def __init__(self, window: ModuleWindow, base: "WindowSubspace | None" = None):
         self.window = window
         if base is None:
-            self.ech = SparseEchelon(track_combos=track)
+            self.ech = SparseEchelon()
             self.gens: list[GradedVector] = []
         else:
             if base.window.module is not window.module or base.window.depth > window.depth:
@@ -236,28 +224,20 @@ def kernel_basis(rows: list, ncols: int) -> list:
 
     rows are Fraction dicts keyed by column.  Returns one kernel vector
     per free column, as a Fraction dict that is 1 at that column and 0 at
-    every other free column.
+    every other free column: the columns enter an echelon form from the
+    highest down, and one that reduces to zero is free, with a combo over
+    itself and non-free columns only.
     """
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][i] = v
     ech = SparseEchelon()
-    for r in rows:
-        ech.insert_rational(r)
-    pivots = ech.pivots
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free_cols:
-        sol = {fc: Fraction(1)}
-        # back-substitution: a pivot row's other columns lie below its pivot,
-        # so they are free or pivots already solved in ascending order
-        for lead in sorted(pivots):
-            prow = ech.rows[pivots[lead]]
-            s = ZERO
-            for k, v in prow.items():
-                if k == lead:
-                    continue
-                xv = sol.get(k)
-                if xv:
-                    s += v * xv
-            if s != 0:
-                sol[lead] = -s / prow[lead]
-        basis.append({k: v for k, v in sol.items() if v != 0})
-    return basis
+    for c in range(ncols - 1, -1, -1):
+        r, combo = ech._eliminate(*_scaled(cols[c], c))
+        if r:
+            ech._append(r, combo)
+        else:
+            basis.append({k: Fraction(v, combo[c]) for k, v in combo.items()})
+    return basis[::-1]

@@ -192,8 +192,7 @@ class IdealWindow:
         self.depth = depth
         self.families = tuple(families)
         self.window = ModuleWindow(module, depth)
-        self.subspace = WindowSubspace(self.window, track=True,
-                                       base=base.subspace if base else None)
+        self.subspace = WindowSubspace(self.window, base.subspace if base else None)
         self.labels: list[str] = list(base.labels) if base else []
         self._enumerate(base.depth if base else 0)
 
@@ -313,8 +312,7 @@ def omega_subspace(module: GenModule, N: int, depth_max: int,
                         cols.setdefault(bv2, {})[j] = c
                 for bv2, row in cols.items():
                     rows.append(row)
-    sols = kernel_basis(rows, len(window.basis))
-    sub = WindowSubspace(window, track=False)
-    for sol in sols:
+    sub = WindowSubspace(window)
+    for sol in kernel_basis(rows, len(window.basis)):
         sub.add_generator(window.vector_of(sol))
     return sub

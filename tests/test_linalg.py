@@ -54,7 +54,7 @@ def test_reduce_leaves_no_pivot_support(seed):
 def test_membership_and_witness_roundtrip(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, 6, 6)
-    ech = SparseEchelon(track_combos=True)
+    ech = SparseEchelon()
     gained = {i for i, r in enumerate(rows) if ech.insert_rational(dict(r))}
     # a random combination of inputs must reduce to zero with a correct combo
     coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
@@ -68,25 +68,73 @@ def test_membership_and_witness_roundtrip(seed):
     # the witness names only inputs that added rank, with coefficients over
     # the rows as supplied
     assert set(combo) <= gained
-    rebuilt = {}
+    assert _rebuild(rows, combo) == target
+
+
+def _rebuild(rows, combo):
+    out = {}
     for idx, t in combo.items():
         for k, v in rows[idx].items():
-            rebuilt[k] = rebuilt.get(k, Fraction(0)) + t * v
-    rebuilt = {k: v for k, v in rebuilt.items() if v}
-    assert rebuilt == target
+            out[k] = out.get(k, Fraction(0)) + t * v
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_combo_rebuilds_row_minus_remainder_outside_the_span(seed):
+    rng = random.Random(seed)
+    rows = random_rows(rng, 4, 7)
+    ech = SparseEchelon()
+    for r in rows:
+        ech.insert_rational(dict(r))
+    for _ in range(5):
+        probe = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for c in range(7)}
+        probe = {c: v for c, v in probe.items() if v}
+        rem, combo = ech.reduce(dict(probe))
+        if not rem:
+            continue
+        expected = {k: probe.get(k, 0) - rem.get(k, 0) for k in set(probe) | set(rem)}
+        assert _rebuild(rows, combo) == {k: v for k, v in expected.items() if v}
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_reduce_remainder_does_not_depend_on_insertion_order(seed):
+    rng = random.Random(seed)
+    rows = random_rows(rng, 6, 7)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    forms = []
+    for order in (rows, shuffled):
+        ech = SparseEchelon()
+        for r in order:
+            ech.insert_rational(dict(r))
+        forms.append(ech)
+    for _ in range(8):
+        probe = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for c in range(7)}
+        probe = {c: v for c, v in probe.items() if v}
+        assert forms[0].reduce(dict(probe))[0] == forms[1].reduce(dict(probe))[0]
 
 
 def test_kernel_basis_annihilates_and_has_right_dimension():
-    rng = random.Random(7)
-    rows = random_rows(rng, 5, 7)
-    ncols = 7
-    basis = kernel_basis(rows, ncols)
-    rank, _ = dense_rref(rows, ncols)
-    assert len(basis) == ncols - rank
-    for sol in basis:
-        for row in rows:
-            s = sum((row[k] * sol.get(k, Fraction(0)) for k in row), Fraction(0))
-            assert s == 0
+    for seed in (7, 8, 9, 10):
+        rng = random.Random(seed)
+        rows = random_rows(rng, 5, 7)
+        ncols = 7
+        basis = kernel_basis(rows, ncols)
+        rank, _ = dense_rref(rows, ncols)
+        assert len(basis) == ncols - rank
+        for sol in basis:
+            for row in rows:
+                s = sum((row[k] * sol.get(k, Fraction(0)) for k in row), Fraction(0))
+                assert s == 0
+        # one vector per free column, 1 there and 0 at every other free
+        # column; the free columns are the non-pivots of the rows' echelon form
+        ech = SparseEchelon()
+        for r in rows:
+            ech.insert_rational(dict(r))
+        free = [c for c in range(ncols) if c not in ech.pivots]
+        assert len(basis) == len(free)
+        for fc, sol in zip(free, basis):
+            assert {c: sol.get(c, 0) for c in free} == {c: int(c == fc) for c in free}
 
 
 def test_window_roundtrip_and_overflow(fock_one):

@@ -150,12 +150,16 @@ def test_cli_reduce(tmp_path):
     assert payload["canonical_representative"] == []
 
 
-def test_cli_axioms_quick(tmp_path):
+def test_cli_axioms_quick(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["axioms", "--seed", "5", "--n", "0", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert set(payload["summary"]["counts"]) <= {"pass", "certified"}
+    # --out holds exactly what stdout gets, trailing newline included
+    capsys.readouterr()
+    assert main(["axioms", "--seed", "5", "--n", "0"]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
 BAD_ELEMENTS = {
@@ -247,3 +251,20 @@ def test_cli_reduce_refuses_deep_monomial_before_building(tmp_path, src_env):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "depth 100000000, beyond --depth 4" in proc.stderr
+
+
+@pytest.mark.parametrize("monomial, depth", [("a(-1)^16", 20), ("a(-1)^100000000", 100000004)])
+def test_cli_reduce_refuses_deep_default_window(tmp_path, src_env, monomial, depth):
+    """Without --depth the window depth comes from the monomials' text, and
+    one beyond MAX_DEFAULT_DEPTH is refused before anything is built: the
+    depth-20 window does not finish within the timeout, and building
+    a(-1)^100000000 runs out of the 1 GB address space."""
+    elem = tmp_path / "deep.json"
+    elem.write_text(json.dumps([[monomial, "1"]]))
+    argv = ["reduce", str(elem), "--algebra", "heisenberg"]
+    proc = subprocess.run([sys.executable, "-m", "voazhu.cli", *argv], capture_output=True,
+                          text=True, env=src_env, timeout=30, preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"default window depth {depth}" in proc.stderr and "--depth" in proc.stderr
