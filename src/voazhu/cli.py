@@ -73,7 +73,10 @@ def _algebra(text: str):
 def _read_element(path: str) -> list:
     """The [monomial, coefficient] pairs stored in a JSON element file."""
     with open(path) as fh:
-        pairs = json.load(fh)
+        try:
+            pairs = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if not (isinstance(pairs, list)
             and all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
                     for p in pairs)):
@@ -197,8 +200,7 @@ def cmd_reduce(args):
     except (OSError, ValueError, VoazhuError) as exc:
         raise InputError(f"element file {args.element_file}: {exc}") from None
     ctx = zhu_context(algebra, args.n, depth)
-    reduced = ctx.subspace.reduce(x)
-    cert = ctx.membership(x)
+    reduced, cert = ctx.reduce(x)
     payload = {
         "algebra": algebra.module_id,
         "N": args.n,

@@ -5,9 +5,9 @@ doubly indexed modes Y_{n;k}(w1) w2 (n a rational exponent, k the log
 power).  The only concrete instance shipped is the free-boson one of type
 (F_{lam+mu}; F_lam, F_mu), built from the normal-ordered exponential of
 the current; it is log-free (k = 0 only) with exponents in -lam*mu + Z.
-Its modes on composite first arguments come from ``modules.iterate_formula``,
-the function that also gives each module its vertex operator.  The
-k-indexed paths are exercised by synthetic finite mode tables.
+Its modes come from a ``modules.ModeTable``, the memoized table that also
+gives each module its vertex operator.  The k-indexed paths are exercised
+by synthetic finite mode tables.
 
 From an intertwining operator, ``induced_hom`` produces the map
 
@@ -26,13 +26,13 @@ from fractions import Fraction
 from math import factorial
 
 from .basis import BasisVector, GradedVector, accumulate
-from .errors import DepthExceededError, WindowOverflowError
+from .errors import WindowOverflowError
 from .formal import ZERO, as_scalar
 from .heisenberg import TAG as HTAG
 from .heisenberg import HeisenbergVOA
 from .instances import fock, heisenberg_voa
 from .linalg import SparseEchelon
-from .modules import GenModule, iterate_formula, partitions
+from .modules import GenModule, ModeTable, partitions
 from .zhu import o_action, omega0_basis
 from .bimodule import (intertwiner_ideal_context, left_star, right_star,
                        right_star_alt)
@@ -98,13 +98,15 @@ class FockIntertwiner(LogIntertwiner):
     E_-(lam,x) = exp(lam sum_{n>=1} alpha(-n) x^n / n),
     E_+(lam,x) = exp(-lam sum_{n>=1} alpha(n) x^-n / n),
 
-    where S_lam shifts the momentum.  A composite first argument
-    alpha(p) w1' is reduced to w1' by ``modules.iterate_formula``, the
-    engine that also gives every module its vertex operator, with the
-    current acting on F_mu and F_{lam+mu}.  All modes carry
-    k = 0; exponents n lie in -lam*mu + Z.  The three modules are the
-    registry's ``fock(lam)``, ``fock(mu)`` and ``fock(lam + mu)``, so the
-    operator shares their mode caches and ideal windows.
+    where S_lam shifts the momentum.  The modes are a
+    ``modules.ModeTable(F_lam, F_mu, F_{lam+mu}, exponential)``, the table
+    that also gives every module its vertex operator: a composite first
+    argument alpha(p) w1' is reduced to w1' by the iterate formula, with
+    the current acting on F_mu and F_{lam+mu}.  All modes carry k = 0;
+    exponents n lie in -lam*mu + Z, the table's offset h_lam + h_mu -
+    h_{lam+mu} plus Z.  The three modules are the registry's ``fock(lam)``,
+    ``fock(mu)`` and ``fock(lam + mu)``, so the operator shares their gen
+    caches and ideal windows.
     """
 
     def __init__(self, algebra: HeisenbergVOA, lam, mu,
@@ -117,7 +119,8 @@ class FockIntertwiner(LogIntertwiner):
         self.mu = mu
         self.normalization = as_scalar(normalization)
         self.depth_max = depth_max
-        self._cache: dict = {}
+        self._modes = ModeTable(self.w1_module, self.w2_module, self.w3_module, self._bottom)
+        self._modes.depth_max = depth_max
 
     def _exponential(self, module: GenModule, bv: BasisVector, total: int,
                      sign: int) -> GradedVector:
@@ -142,52 +145,25 @@ class FockIntertwiner(LogIntertwiner):
             accumulate(acc, cur, coeff)
         return GradedVector(module, acc)
 
+    def _bottom(self, n, w2_bv: BasisVector, d_out: int) -> GradedVector:
+        """The bottom vector's mode of output depth d_out on w2: the x^(-n-1)
+        coefficient of the exponential operator, expanded directly."""
+        d2 = w2_bv.depth
+        acc: dict = {}
+        # E_+ lowers w2 by s, then E_- raises by d_out - (d2 - s) >= 0
+        for s in range(max(0, d2 - d_out), d2 + 1):
+            lowered = self._exponential(self.w2_module, w2_bv, s, -1)
+            for bv_mid, c_mid in lowered.terms.items():
+                shifted = BasisVector(self.w3_module.module_id, bv_mid.modes)
+                raised = self._exponential(self.w3_module, shifted, d_out - d2 + s, 1)
+                accumulate(acc, raised, c_mid)
+        return GradedVector(self.w3_module, {b: c * self.normalization
+                                             for b, c in acc.items()})
+
     def mode_basis(self, w1_bv: BasisVector, n, k: int, w2_bv: BasisVector) -> GradedVector:
-        n = as_scalar(n)
         if k != 0:
             return self.w3_module.zero()
-        key = (w1_bv, n, w2_bv)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        # output depth; integral exactly when n lies in the exponent coset
-        d_out = (self.w1_module.weight_of(w1_bv) - n - 1
-                 + self.w2_module.weight_of(w2_bv) - self.w3_module.lowest_weight)
-        if d_out.denominator != 1:
-            raise ValueError(
-                f"mode index {n} is not in the exponent coset {-self.lam * self.mu} + Z")
-        d_out = int(d_out)
-        if d_out < 0:
-            out = self.w3_module.zero()
-        elif d_out > self.depth_max:
-            raise DepthExceededError(
-                f"mode output depth {d_out} above configured bound {self.depth_max}")
-        elif not w1_bv.modes:
-            # bottom vector: expand the exponential operator directly
-            d2 = w2_bv.depth
-            acc: dict = {}
-            # E_+ lowers w2 by s, then E_- raises by d_out - (d2 - s) >= 0
-            for s in range(max(0, d2 - d_out), d2 + 1):
-                lowered = self._exponential(self.w2_module, w2_bv, s, -1)
-                for bv_mid, c_mid in lowered.terms.items():
-                    shifted = BasisVector(self.w3_module.module_id, bv_mid.modes)
-                    raised = self._exponential(self.w3_module, shifted, d_out - d2 + s, 1)
-                    accumulate(acc, raised, c_mid)
-            out = GradedVector(self.w3_module, {b: c * self.normalization
-                                                for b, c in acc.items()})
-        else:
-            # composite first argument: the iterate formula through the leading
-            # current factor, whose algebra mode index equals its physics index;
-            # rest_(n+i) w2 has depth d_out + m - i
-            tag, m = w1_bv.modes[0]
-            rest = BasisVector(self.w1_module.module_id, w1_bv.modes[1:])
-            out = iterate_formula(self.w3_module, self.w2_module, tag, m, n, w2_bv,
-                                  d_out + m, lambda j, bv: self.mode_basis(rest, j, 0, bv))
-        if __debug__ and out.terms:
-            assert all(bv.depth == d_out for bv in out.terms), \
-                "intertwiner weight bookkeeping broken"
-        self._cache[key] = out
-        return out
+        return self._modes.basis(w1_bv, n, w2_bv)
 
 
 class TableIntertwiner(LogIntertwiner):

@@ -200,14 +200,15 @@ class WindowSubspace:
         rem, _ = self.ech.reduce(self.window.row_of(gv))
         return self.window.vector_of(rem)
 
-    def witness(self, gv: GradedVector):
-        """None, or {generator index -> coefficient} reproducing gv exactly."""
+    def split(self, gv: GradedVector):
+        """(canonical representative of gv, witness) from one reduction: the
+        witness is None, or {generator index -> coefficient} reproducing gv
+        exactly when the representative is zero."""
         rem, combo = self.ech.reduce(self.window.row_of(gv))
-        if rem:
-            return None
         # combo indices refer to insertion order, which matches self.gens;
         # rows that failed to increase rank still consumed an index
-        return {i: c for i, c in sorted(combo.items()) if c != 0}
+        witness = None if rem else {i: c for i, c in sorted(combo.items()) if c != 0}
+        return self.window.vector_of(rem), witness
 
     def quotient_dims_by_depth(self) -> list:
         """Per-depth upper bounds for the dimensions of window/(subspace)."""

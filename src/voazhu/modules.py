@@ -7,12 +7,12 @@ action is derived from those base rules through the iterate formula
     (a_(m) u)_(n) w = sum_{i>=0} (-1)^i C(m,i)
                       [ a_(m-i) u_(n+i) w  -  (-1)^m u_(m+n-i) a_(i) w ],
 
-with both inner sums finite because the module is lower bounded.  The one
-function ``iterate_formula`` carries it, both for a module's own vertex
-operator and for the free-boson intertwiner's modes.  Instances
-are immutable after construction; the per-instance caches (modes and
-ideal windows) only ever map a key to one value, so concurrent readers
-always observe identical results.
+with both inner sums finite because the module is lower bounded.  One
+memoized ``ModeTable`` carries it, both for a module's own vertex operator
+(the intertwining operator of type (W; V, W)) and for the free-boson
+intertwiner's modes.  Instances are immutable after construction; the
+per-instance caches (modes and ideal windows) only ever map a key to one
+value, so concurrent readers always observe identical results.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .basis import BasisVector, GradedVector, accumulate, canonical_modes, sort_key
-from .errors import UnknownGeneratorError
+from .errors import DepthExceededError, UnknownGeneratorError
 from .formal import as_scalar, binom
 
 
@@ -48,9 +48,10 @@ class GenModule:
         self.lowest_weight = as_scalar(lowest_weight)
         self.algebra = algebra if algebra is not None else self
         self.min_part = min_part
-        self._mode_cache: dict = {}
         self._gen_cache: dict = {}
         self._windows: dict = {}   # (class, N, families) -> {depth: window}
+        self._modes = ModeTable(self.algebra, self, self, self._vacuum_mode)
+        self._mode_cache = self._modes.memo
 
     # --- presentation supplied by subclasses -------------------------------
 
@@ -122,37 +123,16 @@ class GenModule:
         if u.module.module_id != self.algebra.module_id:
             raise ValueError("mode_action: u must live in the algebra")
         n = int(n)
+        mode = self._modes.basis
         acc: dict = {}
         for u_bv, cu in u.terms.items():
             for w_bv, cw in w.terms.items():
-                accumulate(acc, self._mode_basis(u_bv, n, w_bv), cu * cw)
+                accumulate(acc, mode(u_bv, n, w_bv), cu * cw)
         return GradedVector(self, acc)
 
-    def _mode_basis(self, u_bv: BasisVector, n: int, w_bv: BasisVector) -> GradedVector:
-        key = (u_bv, n, w_bv)
-        hit = self._mode_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._mode_basis_compute(u_bv, n, w_bv)
-        if __debug__ and out.terms:
-            want = u_bv.depth - n - 1 + w_bv.depth
-            assert all(bv.depth == want for bv in out.terms), \
-                f"weight bookkeeping broken for Y_{n}({u_bv}) on {w_bv}"
-        self._mode_cache[key] = out
-        return out
-
-    def _mode_basis_compute(self, u_bv: BasisVector, n: int, w_bv: BasisVector) -> GradedVector:
-        if not u_bv.modes:
-            # vacuum: Y_(-1)(1) = id, all other modes vanish
-            if n == -1:
-                return GradedVector(self, {w_bv: Fraction(1)})
-            return self.zero()
-        tag, p0 = u_bv.modes[0]
-        m = p0 + self.algebra.generator_tags()[tag] - 1  # algebra mode index of the leading factor
-        rest = BasisVector(self.algebra.module_id, u_bv.modes[1:])
-        # rest_(n+i) w vanishes once n + i >= depth rest + depth w
-        return iterate_formula(self, self, tag, m, n, w_bv, rest.depth + w_bv.depth - n - 1,
-                               lambda k, bv: self._mode_basis(rest, k, bv))
+    def _vacuum_mode(self, n: int, w_bv: BasisVector, d_out: int) -> GradedVector:
+        """1_(n) w: Y_(-1)(1) is the identity and every other mode vanishes."""
+        return GradedVector(self, {w_bv: Fraction(1)}) if n == -1 else self.zero()
 
     # --- truncation helpers --------------------------------------------------
 
@@ -168,42 +148,81 @@ class GenModule:
         return f"<{type(self).__name__} {self.module_id}>"
 
 
-def iterate_formula(out: GenModule, src: GenModule, tag: str, m: int, n, w_bv: BasisVector,
-                    i_top: int, inner) -> GradedVector:
-    """(a_(m) u)_(n) w by the iterate formula, for a generator a of weight g.
+class ModeTable:
+    """Memoized modes u_(n) w, for basis monomials u of ``first`` and w of
+    ``src``, with values in ``out``.
 
-    ``inner(k, bv)`` is u_(k) bv for bv in ``src``, with values in ``out``;
-    a acts through ``out.gen_action`` in the first sum and ``src.gen_action``
-    in the second.  The first sum stops at ``i_top``, the last i with
-    u_(n+i) w possibly nonzero; the second at g - 1 + depth w, beyond which
-    a_(i) w = 0.  Neither stops at m or skips a zero C(m, i), because m <= -1
-    and C(m, i) never vanishes: a module's vertex operator passes out = src
-    = the module and the leading factor a(p) of an algebra monomial, with
-    p <= -g (a(p) 1 = 0 beyond) and m = p + g - 1; the free-boson
-    intertwiner passes out = W3, src = W2 and the leading current factor
-    alpha(p), p <= -1, of a monomial of F_lam, with m = p.
+    A module's vertex operator is ``ModeTable(algebra, W, W, vacuum mode)``,
+    the free-boson intertwiner ``ModeTable(F_lam, F_mu, F_{lam+mu},
+    exponential)``; ``bottom(n, w, d_out)`` is the mode of the bottom vector
+    of ``first``.  The output depth is d_out = depth u + depth w - n - 1 +
+    offset with offset = h_first + h_src - h_out, so n must lie in the
+    exponent coset offset + Z; ``depth_max``, when set, bounds d_out.
     """
-    gen_wt = out.algebra.generator_tags()[tag]
-    acc: dict = {}
 
-    # first sum: a_(m-i) u_(n+i) w
-    for i in range(0, i_top + 1):
-        v = inner(n + i, w_bv)
-        if v.is_zero():
-            continue
-        c = binom(Fraction(m), i) * ((-1) ** i)
-        accumulate(acc, out.gen_action(tag, (m - i) - gen_wt + 1, v), c)
+    depth_max = None
 
-    # second sum: u_(m+n-i) a_(i) w
-    sign = 1 if m % 2 else -1  # -(-1)**m
-    for i in range(0, gen_wt + w_bv.depth):
-        aw = src.gen_action(tag, i - gen_wt + 1, w_bv)
-        if aw.is_zero():
-            continue
-        c = binom(Fraction(m), i) * ((-1) ** i) * sign
-        for bv2, c2 in aw.terms.items():
-            accumulate(acc, inner(m + n - i, bv2), c * c2)
-    return GradedVector(out, acc)
+    def __init__(self, first: GenModule, src: GenModule, out: GenModule, bottom):
+        self.first, self.src, self.out, self.bottom = first, src, out, bottom
+        offset = first.lowest_weight + src.lowest_weight - out.lowest_weight
+        # an int keeps a module's keys and depths int
+        self.offset = int(offset) if offset.denominator == 1 else offset
+        self.memo: dict = {}
+
+    def basis(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
+        key = (u_bv, n, w_bv)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._compute(u_bv, n, w_bv)
+        return hit
+
+    def _compute(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
+        """The bottom mode, or (a_(m) u')_(n) w by the iterate formula for
+        u = a(p) u', a of weight g and m = p + g - 1.
+
+        The first sum stops at i = d_out + p, where u'_(n+i) w reaches depth
+        0; the second at g - 1 + depth w, beyond which a_(i) w = 0.  Neither
+        stops at m or skips a zero C(m, i): p <= -g (a(p) 1 = 0 beyond), so
+        m <= -1 and C(m, i) never vanishes.
+        """
+        d_out = u_bv.depth + w_bv.depth - n - 1 + self.offset
+        if d_out.denominator != 1:
+            raise ValueError(f"mode index {n} is not in the exponent coset {self.offset} + Z")
+        d_out = int(d_out)
+        if d_out < 0:
+            return self.out.zero()
+        if self.depth_max is not None and d_out > self.depth_max:
+            raise DepthExceededError(
+                f"mode output depth {d_out} above configured bound {self.depth_max}")
+        if not u_bv.modes:
+            out = self.bottom(n, w_bv, d_out)
+        else:
+            tag, p = u_bv.modes[0]
+            g = self.first.algebra.generator_tags()[tag]
+            m = p + g - 1
+            rest = BasisVector(self.first.module_id, u_bv.modes[1:])
+            acc: dict = {}
+            # first sum: a_(m-i) u'_(n+i) w
+            for i in range(0, d_out + p + 1):
+                v = self.basis(rest, n + i, w_bv)
+                if v.is_zero():
+                    continue
+                c = binom(Fraction(m), i) * ((-1) ** i)
+                accumulate(acc, self.out.gen_action(tag, (m - i) - g + 1, v), c)
+            # second sum: u'_(m+n-i) a_(i) w
+            sign = 1 if m % 2 else -1  # -(-1)**m
+            for i in range(0, g + w_bv.depth):
+                aw = self.src.gen_action(tag, i - g + 1, w_bv)
+                if aw.is_zero():
+                    continue
+                c = binom(Fraction(m), i) * ((-1) ** i) * sign
+                for bv2, c2 in aw.terms.items():
+                    accumulate(acc, self.basis(rest, m + n - i, bv2), c * c2)
+            out = GradedVector(self.out, acc)
+        if __debug__ and out.terms:
+            assert all(bv.depth == d_out for bv in out.terms), \
+                f"weight bookkeeping broken for Y_{n}({u_bv}) on {w_bv}"
+        return out
 
 
 class VOAlgebra(GenModule):

@@ -68,6 +68,8 @@ def vector_to_pairs(gv: GradedVector) -> list:
 
 def _coefficient(coeff) -> Fraction:
     try:
+        if isinstance(coeff, bool):   # JSON true/false would read as 1/0
+            raise TypeError
         return as_scalar(coeff)
     except (TypeError, ZeroDivisionError):
         raise ValueError(f"bad coefficient {coeff!r}: expected an integer or a "

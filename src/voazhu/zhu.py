@@ -233,16 +233,20 @@ class IdealWindow:
         Certified.  Raises ``WindowOverflowError`` when x does not fit in the
         window; ``certify`` reads that as Inconclusive.
         """
-        witness = self.subspace.witness(x)
+        return self.reduce(x)[1]
+
+    def reduce(self, x: GradedVector):
+        """(canonical representative of x, ``membership(x)``) from one reduction."""
+        rep, witness = self.subspace.split(x)
         if witness is None:
-            return MembershipCert(INCONCLUSIVE, self.depth)
+            return rep, MembershipCert(INCONCLUSIVE, self.depth)
         rebuilt = self.module.zero()
         for i, c in witness.items():
             rebuilt = rebuilt + self.subspace.gens[i] * c
         if rebuilt != x:
-            return MembershipCert(INCONCLUSIVE, self.depth)
-        return MembershipCert(CERTIFIED, self.depth, witness,
-                              tuple(self.labels[i] for i in witness))
+            return rep, MembershipCert(INCONCLUSIVE, self.depth)
+        return rep, MembershipCert(CERTIFIED, self.depth, witness,
+                                   tuple(self.labels[i] for i in witness))
 
     def quotient_dims(self) -> list:
         return self.subspace.quotient_dims_by_depth()

@@ -1,8 +1,8 @@
 """The benchmark's ``calculus`` and ``queries`` workloads give their frozen digests.
 
 ``bench/workloads.Calculus(42)`` runs the identity families and seeded
-mode calculus: module vertex operators through ``modules.iterate_formula``
-and the free-boson intertwiner's exponential and induced map.
+mode calculus: module vertex operators through ``modules.ModeTable`` and
+the free-boson intertwiner's exponential and induced map.
 ``bench/workloads.Queries(42)`` runs seeded membership and reduce queries
 on four prebuilt ideal windows, which exercises ``linalg``'s echelon form,
 its reductions and its witnesses.  Each digest, over every check's status

@@ -45,6 +45,11 @@ def test_leading_index_helper(it12):
 def test_wrong_coset_rejected(it12):
     with pytest.raises(ValueError):
         it12.mode(it12.w1_module.lw(), Fraction(1, 3), 0, it12.w2_module.lw())
+    # exponents of F_1/2 x F_1/2 -> F_1 lie in -1/4 + Z, for composite w1 too
+    half = FockIntertwiner(heisenberg_voa(), Fraction(1, 2), Fraction(1, 2))
+    w1 = half.w1_module.monomial([("a", -2), ("a", -1)])
+    with pytest.raises(ValueError, match=r"exponent coset -1/4 \+ Z"):
+        half.mode(w1, 0, 0, half.w2_module.lw())
 
 
 def test_log_modes_vanish(it12):
@@ -201,6 +206,9 @@ def test_depth_guard():
     it = FockIntertwiner(heisenberg_voa(), 1, 2, depth_max=3)
     with pytest.raises(DepthExceededError):
         it.mode(it.w1_module.lw(), -Fraction(2) - 1 - 6, 0, it.w2_module.lw())
+    # a composite first argument a(-1)|lam> meets the same bound (output depth 7)
+    with pytest.raises(DepthExceededError):
+        it.mode(it.w1_module.monomial([("a", -1)]), -9, 0, it.w2_module.lw())
 
 
 def test_normalization_scales_linearly():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from voazhu.cli import main
+from voazhu.linalg import SparseEchelon
 from voazhu.report import SuiteConfig, report_json, run_suite
 from voazhu.serialize import (monomial_str, pairs_to_vector, parse_module_spec,
                               parse_monomial, scalar_str, vector_to_pairs)
@@ -138,16 +139,26 @@ def test_cli_fusion_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_reduce(tmp_path):
+def test_cli_reduce(tmp_path, monkeypatch):
+    """One reduction gives the representative and the witness, for a member
+    and a non-member alike; the witness is still re-multiplied."""
+    calls = []
+    plain = SparseEchelon.reduce
+    monkeypatch.setattr(SparseEchelon, "reduce",
+                        lambda self, row: calls.append(row) or plain(self, row))
     elem = tmp_path / "elem.json"
-    elem.write_text(json.dumps([["a(-2)", "1"], ["a(-1)", "1"]]))
     out = tmp_path / "reduced.json"
-    rc = main(["reduce", str(elem), "--algebra", "heisenberg", "--n", "0",
-               "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["in_ideal_window"] == "certified"
-    assert payload["canonical_representative"] == []
+    for pairs, status, rep in (([["a(-2)", "1"], ["a(-1)", "1"]], "certified", []),
+                               ([["1", "1"]], "inconclusive", [["lw", "1"]])):
+        elem.write_text(json.dumps(pairs))
+        calls.clear()
+        rc = main(["reduce", str(elem), "--algebra", "heisenberg", "--n", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["in_ideal_window"] == status
+        assert payload["canonical_representative"] == rep
+        assert len(calls) == 1
 
 
 def test_cli_axioms_quick(tmp_path, capsys):
@@ -169,6 +180,8 @@ BAD_ELEMENTS = {
     "bad_coefficient": '[["a(-1)", "x"]]',
     "zero_denominator": '[["a(-1)", "1/0"]]',
     "unknown_generator": '[["b(-1)", "1"]]',
+    "nested_too_deeply": "[" * 200000,
+    "bool_coefficient": '[["a(-1)", true]]',
 }
 
 
