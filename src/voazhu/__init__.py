@@ -6,7 +6,7 @@ Everything is exact rational arithmetic; identity checks either hold on
 the nose or come back with a counterexample vector.
 """
 
-from .formal import BivariatePoly, LaurentPoly, binom
+from .formal import binom
 from .identities import (alternating_binomial_sum,
                          verify_bivariate_binomial_cancellation,
                          verify_telescoping_binomial_sum)

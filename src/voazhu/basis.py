@@ -24,10 +24,6 @@ class BasisVector(NamedTuple):
         """Total lowering below the lowest weight vector."""
         return -sum(m for _, m in self.modes)
 
-    def partition(self) -> tuple:
-        """The multiset of lowering amounts, largest first."""
-        return tuple(-m for _, m in self.modes)
-
     def __str__(self):
         if not self.modes:
             return "lw"

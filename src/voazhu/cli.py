@@ -13,8 +13,9 @@ JSON lists of [monomial, coefficient] pairs, e.g.
 [["a(-1)^2", "3/4"], ["a(-2)", "-1"]].
 
 Bad input (an unknown module spec, a malformed number or element file, an
-element too deep for --depth or for reduce's default window) ends the run
-with a one-line message on standard error and exit code 2.
+element too deep for --depth or for reduce's default window, a fusion
+window below 2N+1) ends the run with a one-line message on standard error
+and exit code 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .basis import GradedVector
 from .errors import VoazhuError
 from .identities import check_identity_families
 from .intertwiner import fusion_report
-from .report import SuiteConfig, run_suite
+from .report import SuiteConfig, report_json, run_suite
 from .serialize import monomial_depth, pairs_to_vector, parse_module_spec, vector_to_pairs
 from .zhu import lp_element, zhu_context
 
@@ -94,7 +95,7 @@ def _emit(payload, args, flatten_rows=None):
             writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        text = report_json(payload) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -163,6 +164,12 @@ def cmd_axioms(args):
 
 def cmd_fusion(args):
     w1, w2, w3 = args.w1, args.w2, args.w3
+    # a constraint needs wt u + depth + 2N <= window with wt u >= 1, so a
+    # shallower window holds none and would only count the unknowns
+    low = min(args.window)
+    if low < 2 * args.n + 1:
+        raise InputError(f"--window {low} holds no constraint at --n {args.n}; "
+                         f"every window must be at least 2N+1 = {2 * args.n + 1}")
     if not (w1.algebra is w2.algebra is w3.algebra):
         raise InputError("--w1, --w2 and --w3 must be modules over the same algebra")
     payload = fusion_report(w1.algebra, w1, w2, w3, args.n, windows=args.window)

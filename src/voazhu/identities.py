@@ -1,16 +1,16 @@
 """The three binomial identities the algebraic congruence proofs rest on.
 
-Each verifier expands its left-hand side exactly (Laurent polynomials over
-the rationals, never series approximations) and compares with the claimed
-closed form.  They are exposed both for the test suite and for the
-``verify-identities`` command.
+Each verifier expands its left-hand side exactly, as coefficient dicts of
+the Laurent expansion keyed by exponent (rationals, never series
+approximations), and compares with the claimed closed form.  They are
+exposed both for the test suite and for the ``verify-identities`` command.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .formal import BivariatePoly, LaurentPoly, binom, binom_poly
+from .formal import binom
 
 
 def verify_telescoping_binomial_sum(n: int) -> bool:
@@ -24,13 +24,16 @@ def verify_telescoping_binomial_sum(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = LaurentPoly()
-    top = binom_poly(n + 1)
+    total: dict = {}  # power of x -> coefficient
+    top = [binom(n + 1, j) for j in range(n + 2)]
     for m in range(n + 1):
         coeff = binom(Fraction(m + n), n)
-        numerator = (top * Fraction((-1) ** m)) - (binom_poly(m) * Fraction((-1) ** n))
-        total = total + (numerator * coeff).shift(-(n + m + 1))
-    return total == 1
+        low = -(n + m + 1)
+        for j, c in enumerate(top):
+            total[low + j] = total.get(low + j, 0) + (-1) ** m * coeff * c
+        for j in range(m + 1):
+            total[low + j] = total.get(low + j, 0) - (-1) ** n * coeff * binom(m, j)
+    return {e: c for e, c in total.items() if c} == {0: 1}
 
 
 def verify_bivariate_binomial_cancellation(n: int) -> bool:
@@ -46,18 +49,16 @@ def verify_bivariate_binomial_cancellation(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = BivariatePoly()
+    total: dict = {}  # (power of x1, power of x2) -> coefficient
     for m in range(n + 1):
-        outer = Fraction((-1) ** m) * binom(Fraction(m + n), n)
-        inner = BivariatePoly()
+        outer = (-1) ** m * binom(Fraction(m + n), n)
         for i in range(n - m + 1):
-            ci = binom(Fraction(-n - m - 1), i) * Fraction((-1) ** i)
+            ci = outer * (-1) ** i * binom(Fraction(-n - m - 1), i)
             for j in range(m + 1):
-                c = ci * binom(Fraction(m), j)
-                inner = inner + BivariatePoly.monomial(-m - i, i + j, c)
-        inner = inner - BivariatePoly.monomial(-m, 0)
-        total = total + inner * outer
-    return total.is_zero()
+                key = (-m - i, i + j)
+                total[key] = total.get(key, 0) + ci * binom(Fraction(m), j)
+        total[(-m, 0)] = total.get((-m, 0), 0) - outer
+    return not any(total.values())
 
 
 def alternating_binomial_sum(n: int, i: int) -> Fraction:

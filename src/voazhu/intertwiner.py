@@ -316,6 +316,8 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
 
 
 def fusion_report(algebra, W1, W2, W3, N: int, windows=(6, 8)) -> dict:
+    """fusion_dim at each window; stabilized when two or more distinct
+    windows all give the same bound."""
     dims = [fusion_dim(algebra, W1, W2, W3, N, w) for w in windows]
     return {
         "type": [W1.module_id, W2.module_id, W3.module_id],
@@ -324,6 +326,6 @@ def fusion_report(algebra, W1, W2, W3, N: int, windows=(6, 8)) -> dict:
         "windows": list(windows),
         "dims": dims,
         "fusion_dim_upper": dims[-1],
-        "stabilized": len(set(dims)) == 1,
+        "stabilized": len(set(windows)) > 1 and len(set(dims)) == 1,
         "checks": [{"window": w, "dim_upper": d} for w, d in zip(windows, dims)],
     }

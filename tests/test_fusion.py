@@ -17,6 +17,9 @@ def test_momentum_conserving_channel(V):
     rep = fusion_report(V, fock(1), fock(2), fock(3), 0, windows=(6, 8))
     assert rep["dims"] == [1, 1]
     assert rep["stabilized"] and rep["fusion_dim_upper"] == 1
+    for windows in ((6,), (6, 6)):  # one distinct window is no evidence of stability
+        rep = fusion_report(V, fock(1), fock(2), fock(3), 0, windows=windows)
+        assert rep["fusion_dim_upper"] == 1 and not rep["stabilized"]
 
 
 def test_weight_obstructed_channels(V):

@@ -7,6 +7,7 @@ sides with a different engine and simplify symbolically.
 import pytest
 import sympy
 
+from voazhu import identities
 from voazhu.identities import (alternating_binomial_sum,
                                verify_bivariate_binomial_cancellation,
                                verify_telescoping_binomial_sum)
@@ -72,3 +73,14 @@ def test_alternating_sum_rejects_out_of_range():
         alternating_binomial_sum(3, 4)
     with pytest.raises(ValueError):
         alternating_binomial_sum(3, -1)
+
+
+def test_verifiers_fail_on_one_wrong_binomial(monkeypatch):
+    """With C(3, 3) off by one, every family fails at N = 3: the verifiers
+    compare exact expansions, they do not just return True."""
+    real = identities.binom
+    monkeypatch.setattr(identities, "binom",
+                        lambda a, k: real(a, k) + 1 if (a, k) == (3, 3) else real(a, k))
+    assert not verify_telescoping_binomial_sum(3)
+    assert not verify_bivariate_binomial_cancellation(3)
+    assert alternating_binomial_sum(3, 1) != 0

@@ -196,6 +196,9 @@ def _bad_input_runs(tmp_path):
         "axioms_bad_levels": ["axioms", "--n", "x"],
         "fusion_bad_window": ["fusion", "--w1", "fock:1", "--w2", "fock:2",
                               "--w3", "fock:3", "--window", "a"],
+        # below 2N+1 = 17 no window holds a constraint; refused before any build
+        "fusion_window_below_2n_plus_1": ["fusion", "--w1", "fock:1", "--w2", "fock:2",
+                                          "--w3", "fock:3", "--n", "8", "--window", "4,6"],
         "negative_depth": ["zhu-table", "--algebra", "heisenberg", "--depth", "-1"],
         "depth_below_element": ["reduce", str(elem), "--algebra", "heisenberg",
                                 "--depth", "1"],
