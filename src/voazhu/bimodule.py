@@ -18,7 +18,7 @@ from __future__ import annotations
 from .basis import GradedVector
 from .modules import GenModule
 from .ops import ywv_mode
-from .zhu import (BIMODULE_FAMILIES, IdealWindow, MembershipCert, certify,
+from .zhu import (IDEAL_FAMILIES, IdealWindow, MembershipCert, certify,
                   circ_residue, lp_element, owned_window, residue_sum,
                   star_product, weighted_residue_modes)
 
@@ -55,13 +55,13 @@ def circ_wv(module: GenModule, w: GradedVector, u: GradedVector, N: int,
 
 
 class BimoduleContext(IdealWindow):
-    """The window of O_N(W) for a module W (``BIMODULE_FAMILIES``), or of
-    the span of some of its families."""
+    """The window of O_N(W) for a module W, or of the span of some of its
+    families."""
 
 
 def bimodule_context(module: GenModule, N: int, depth: int) -> BimoduleContext:
     """The window of O_N(W) at depth, owned by W."""
-    return owned_window(BimoduleContext, module, N, depth, BIMODULE_FAMILIES)
+    return owned_window(BimoduleContext, module, N, depth, IDEAL_FAMILIES)
 
 
 def intertwiner_ideal_context(module: GenModule, N: int, depth: int) -> BimoduleContext:
@@ -144,9 +144,9 @@ def axiom_defect(module: GenModule, axiom_id: str, u: GradedVector,
     if axiom_id == "ideal_right":
         return right_star(module, w, lp_element(alg, u), N)
     if axiom_id == "ideal_circ_left":
-        return left_star(module, circ_residue(alg, u, v, N, 1), w, N)
+        return left_star(module, circ_residue(alg, u, v, N), w, N)
     if axiom_id == "ideal_circ_right":
-        return right_star(module, w, circ_residue(alg, v, u, N, 1), N)
+        return right_star(module, w, circ_residue(alg, v, u, N), N)
     if axiom_id == "assoc_left":
         return (left_star(module, u, left_star(module, v, w, N), N)
                 - left_star(module, star_product(alg, u, v, N), w, N))

@@ -5,9 +5,11 @@ For a vertex operator algebra V and N >= 0 the product is
     u *_N v = sum_{m=0}^{N} (-1)^m C(m+N, N)
               Res_x x^(-N-m-1) Y((1+x)^(L(0)+N) u, x) v,
 
-and the ideal O_N(V) is spanned by Res_x x^(-2N-1-n) Y((1+x)^(L(0)+N) u, x) v
-for n >= 1 together with (L(-1) + L(0)) u; for a module W, O_N(W) keeps the
-n = 1 residues and (L(-1) + L(0)_s) w.  The quotient is generally
+and the ideal O_N(W) of a module W (O_N(V) is the case W = V) is spanned by
+the residues u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)+N) u, x) w together
+with (L(-1) + L(0)_s) w.  The deeper residues x^(-2N-1-n), n >= 2, add
+nothing: by Y(L(-1)u, x) = d/dx Y(u, x), each is a combination of n = 1
+residues of L(-1)-derivatives.  The quotient is generally
 infinite dimensional, so all ideal computations happen inside a finite
 weight window: generators that fit entirely inside the window are
 enumerated and row-reduced, giving a *sound* inner approximation.
@@ -81,11 +83,9 @@ def star_product(module: GenModule, u: GradedVector, w: GradedVector, N: int) ->
 
 
 def circ_residue(module: GenModule, u: GradedVector, w: GradedVector,
-                 N: int, n: int = 1) -> GradedVector:
-    """Res_x x^(-2N-1-n) Y((1+x)^(L(0)+N) u, x) w - an O_N generator for n >= 1."""
-    if n < 1:
-        raise ValueError("circ generator index n must be >= 1")
-    return weighted_residue_modes(module, u, w, N, -2 * N - 1 - n)
+                 N: int) -> GradedVector:
+    """u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)+N) u, x) w, an O_N generator."""
+    return weighted_residue_modes(module, u, w, N, -2 * N - 2)
 
 
 def lp_element(module: GenModule, w: GradedVector) -> GradedVector:
@@ -156,8 +156,7 @@ def certify(context, x: GradedVector, depth: int, retries=(2, 4), cap=None):
 
 # --- the ideal window ----------------------------------------------------------
 
-BIMODULE_FAMILIES = ("lp", "circ")            # span O_N(W)
-ZHU_FAMILIES = ("lp", "circ", "circ_n")       # span O_N(V), the case W = V
+IDEAL_FAMILIES = ("lp", "circ")   # span O_N(W), and O_N(V) as the case W = V
 
 
 class IdealWindow:
@@ -166,14 +165,14 @@ class IdealWindow:
     ``families`` chooses which spanning families are enumerated:
 
     - "lp": (L(-1) + L(0)_s) w;
-    - "circ": u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)_s+N) u, x) w;
-    - "circ_n": Res_x x^(-2N-1-n) Y((1+x)^(L(0)_s+N) u, x) w for n > 1.
+    - "circ": u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)_s+N) u, x) w.
 
-    The first two span O_N(W) and all three span O_N(V); by default a
-    module gets the families of its own ideal.  The ideal that the induced
-    map of an intertwining operator provably kills is the "circ" span alone
-    (the lowest-weight family is *not* killed in general; see the
-    discrepancy notes in the tests).
+    Together they span O_N(W), and O_N(V) when W = V: the residues at
+    x^(-2N-1-n), n >= 2, are combinations of n = 1 residues of L(-1)u, by
+    Y(L(-1)u, x) = d/dx Y(u, x), and fit the window whenever those do.  The
+    ideal that the induced map of an intertwining operator provably kills is
+    the "circ" span alone (the lowest-weight family is *not* killed in
+    general; see the discrepancy notes in the tests).
 
     ``base``, a window for the same (W, N, families) at a shallower depth,
     is grown rather than rebuilt: only the generators that are new at
@@ -182,15 +181,18 @@ class IdealWindow:
     """
 
     def __init__(self, module: GenModule, N: int, depth: int,
-                 families: tuple | None = None,
+                 families: tuple = IDEAL_FAMILIES,
                  base: "IdealWindow | None" = None):
-        if families is None:
-            families = ZHU_FAMILIES if module.algebra is module else BIMODULE_FAMILIES
+        families = tuple(families)
+        if not set(families) <= set(IDEAL_FAMILIES):
+            raise ValueError(f"unknown generator families in {families}")
+        if base is not None and (base.N, base.families) != (N, families):
+            raise ValueError("a window only grows from a window of the same N and families")
         self.module = module
         self.algebra: VOAlgebra = module.algebra
         self.N = N
         self.depth = depth
-        self.families = tuple(families)
+        self.families = families
         self.window = ModuleWindow(module, depth)
         self.subspace = WindowSubspace(self.window, base.subspace if base else None)
         self.labels: list[str] = list(base.labels) if base else []
@@ -205,21 +207,18 @@ class IdealWindow:
                 for w_bv in mod.basis_at_depth(b):
                     w = GradedVector(mod, {w_bv: Fraction(1)})
                     self._add(lp_element(mod, w), f"lp[{w_bv}]")
-        n_lo = 1 if "circ" in self.families else 2
-        deep = "circ_n" in self.families
-        # residues ordered by (wt u, depth w, n); one tops out at depth
-        # wt u + depth w + n + 2N, so the depth-``have`` window holds those
-        # with wt u + depth w + n + 2N <= have
-        for a in range(1, D + 1):
-            for b in range(0, D - a + 1):
-                n_hi = D - a - b - 2 * N if deep else min(1, D - a - b - 2 * N)
-                for n in range(max(n_lo, have - a - b - 2 * N + 1), n_hi + 1):
+        if "circ" in self.families:
+            # residues ordered by (wt u, depth w); one tops out at depth
+            # wt u + depth w + 2N + 1, so the depth-``have`` window holds those
+            # with wt u + depth w + 2N + 1 <= have
+            for a in range(1, D + 1):
+                for b in range(max(0, have - a - 2 * N), D - a - 2 * N):
                     for u_bv in alg.basis_at_depth(a):
                         u = GradedVector(alg, {u_bv: Fraction(1)})
                         for w_bv in mod.basis_at_depth(b):
                             w = GradedVector(mod, {w_bv: Fraction(1)})
-                            gen = circ_residue(mod, u, w, N, n)
-                            self._add(gen, f"circ[{u_bv};{w_bv};n={n}]")
+                            gen = circ_residue(mod, u, w, N)
+                            self._add(gen, f"circ[{u_bv};{w_bv};n=1]")
 
     def _add(self, gv: GradedVector, label: str) -> None:
         self.subspace.add_generator(gv)
@@ -270,12 +269,12 @@ def owned_window(cls, module: GenModule, N: int, depth: int, families: tuple):
 
 
 class ZhuContext(IdealWindow):
-    """The window of O_N(V) for an algebra V (``ZHU_FAMILIES``)."""
+    """The window of O_N(V) for an algebra V."""
 
 
 def zhu_context(algebra: VOAlgebra, N: int, depth: int) -> ZhuContext:
     """The window of O_N(V) at depth, owned by ``algebra``."""
-    return owned_window(ZhuContext, algebra, N, depth, ZHU_FAMILIES)
+    return owned_window(ZhuContext, algebra, N, depth, IDEAL_FAMILIES)
 
 
 def certify_membership(algebra: VOAlgebra, N: int, x: GradedVector,

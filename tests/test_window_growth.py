@@ -166,11 +166,20 @@ def test_instances_sharing_a_module_id_never_share_a_window():
 
 
 def test_growth_only_onto_a_deeper_window_of_the_same_module():
+    """A base of another module, depth, N or family tuple would leave the
+    grown window with generators that are not its own; so would a family
+    the window does not enumerate."""
     heis = heisenberg_voa()
     with pytest.raises(ValueError):
         ZhuContext(heis, 0, 4, base=ZhuContext(heis, 0, 6))
     with pytest.raises(ValueError):
         BimoduleContext(fock(1), 0, 6, base=BimoduleContext(fock(2), 0, 4))
+    with pytest.raises(ValueError):
+        ZhuContext(heis, 1, 6, base=ZhuContext(heis, 0, 4))
+    with pytest.raises(ValueError):
+        BimoduleContext(fock(1), 0, 6, base=BimoduleContext(fock(1), 0, 4, ("circ",)))
+    with pytest.raises(ValueError):
+        ZhuContext(heis, 0, 4, ("lp", "circ", "circ_n"))
 
 
 TAMPER_SCRIPT = r"""

@@ -10,10 +10,14 @@ import pytest
 
 from oracles import residue_oracle, star_oracle
 from voazhu import GradedVector
+from voazhu.instances import heisenberg_voa, virasoro_voa
 from voazhu.sampling import SampleStream
 from voazhu.zhu import (certify_membership, circ_residue, lp_element,
                         o_action, omega0_basis, omega_subspace, star_product,
-                        zhu_context)
+                        weighted_residue_modes, zhu_context)
+
+ALGEBRAS = {"heis": heisenberg_voa, "vir(1/2)": lambda: virasoro_voa("1/2"),
+            "vir(25)": lambda: virasoro_voa(25)}
 
 
 def test_star_unit_examples(heis):
@@ -33,14 +37,25 @@ def test_star_matches_residue_oracle(heis, vir_half):
                 assert star_product(alg, u, v, N) == star_oracle(alg, u, v, N)
 
 
+def _circ_n(alg, u, v, N, n):
+    """Res_x x^(-2N-1-n) Y((1+x)^(L(0)+N) u, x) v; ``circ_residue`` is n = 1."""
+    return weighted_residue_modes(alg, u, v, N, -2 * N - 1 - n)
+
+
+def _basis_vectors(alg, depths):
+    return [GradedVector(alg, {bv: Fraction(1)})
+            for d in depths for bv in alg.basis_at_depth(d)]
+
+
 def test_circ_examples(heis):
     one = heis.one()
     alpha = heis.alpha()
     for n in (1, 2, 3):
-        assert circ_residue(heis, one, one, 0, n).is_zero()
+        assert _circ_n(heis, one, one, 0, n).is_zero()
     # frozen from the residue oracle: Res_x x^-2 (1+x) Y(alpha,x) alpha
-    got = circ_residue(heis, alpha, alpha, 0, 1)
+    got = circ_residue(heis, alpha, alpha, 0)
     assert got == residue_oracle(heis, alpha, alpha, 0, -2)
+    assert got == _circ_n(heis, alpha, alpha, 0, 1)
     assert got == heis.monomial([("a", -2), ("a", -1)]) + heis.monomial([("a", -1), ("a", -1)])
 
 
@@ -50,9 +65,49 @@ def test_circ_top_weight(heis):
         for n in (1, 2):
             u = stream.monomial(heis, 3)
             v = stream.monomial(heis, 2)
-            out = circ_residue(heis, u, v, N, n)
+            out = _circ_n(heis, u, v, N, n)
             if not out.is_zero():
                 assert out.max_depth() == u.weight() + v.weight() + 2 * N + n
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_circ_l_minus_one_recursion(name):
+    """circ_n(L(-1)u, v) = k circ_{n+1}(u, v) + (k - A - 1) circ_n(u, v) with
+    k = 2N+1+n and A = wt u + N: Y(L(-1)u, x) = d/dx Y(u, x) integrated by
+    parts.  So every n >= 2 residue is a combination of n = 1 residues."""
+    alg = ALGEBRAS[name]()
+    cases = 0
+    for u in _basis_vectors(alg, (1, 2, 3)):
+        du = alg.mode_action(alg.omega(), 0, u)
+        for v in _basis_vectors(alg, (0, 1, 2)):
+            for N in (0, 1, 2):
+                for n in (1, 2, 3):
+                    k, A = 2 * N + 1 + n, u.weight() + N
+                    assert _circ_n(alg, du, v, N, n) == (
+                        _circ_n(alg, u, v, N, n + 1) * Fraction(k)
+                        + _circ_n(alg, u, v, N, n) * Fraction(k - A - 1))
+                    cases += 1
+    assert cases == (216 if name == "heis" else 36)
+
+
+@pytest.mark.parametrize("name,N,D", [
+    ("heis", 0, 8), ("heis", 1, 9), ("heis", 2, 10),
+    ("vir(1/2)", 0, 8), ("vir(1/2)", 1, 9), ("vir(1/2)", 2, 10),
+    ("vir(25)", 0, 8), ("vir(25)", 1, 9),
+])
+def test_deep_residues_lie_in_the_window(name, N, D):
+    """Each n >= 2 residue that fits the depth-D window of O_N(V) reduces to
+    zero there, though the window enumerates only the n = 1 residues."""
+    alg = ALGEBRAS[name]()
+    ctx = zhu_context(alg, N, D)
+    for a in range(1, D + 1):
+        for b in range(0, D - a + 1):
+            # circ_n(u, v) tops out at depth wt u + depth v + 2N + n
+            for n in range(2, D - a - b - 2 * N + 1):
+                for u in _basis_vectors(alg, (a,)):
+                    for v in _basis_vectors(alg, (b,)):
+                        rep, cert = ctx.reduce(_circ_n(alg, u, v, N, n))
+                        assert rep.is_zero() and cert.certified, (u, v, n)
 
 
 def test_lp_element_example(heis):
@@ -216,7 +271,7 @@ def test_context_star_window_overflow(heis):
 
 def test_context_circ_generator_shape(heis):
     ctx = zhu_context(heis, 0, 6)
-    g = circ_residue(heis, heis.alpha(), heis.alpha(), 0, n=1)
+    g = circ_residue(heis, heis.alpha(), heis.alpha(), 0)
     assert g.max_depth() == 1 + 1 + 0 + 1
     assert ctx.membership(g).certified  # generators certify against their own span
 
