@@ -1,14 +1,14 @@
 """Shared registry of algebra and module instances.
 
-Every cache of module state lives on an instance: the mode-action caches
-and the ideal windows of ``zhu_context``, ``bimodule_context`` and
-``intertwiner_ideal_context``.  This registry is the only process-wide
-table besides the memoized ``modules.partitions``, and the library itself
-(``FockIntertwiner`` included) takes its modules from it, so one module id
-has one instance and one set of caches.  Reusing the registry's instances
-across a session (CLI run, test suite) is what makes repeated checks
-cheap; a caller that wants a cold, separately freed session builds its own
-instances (``HeisenbergVOA()``, ...) instead.
+Every cache of module state lives on an instance: the mode tables of the
+vertex operator and of Y_WV, and the ideal windows of ``zhu_context``,
+``bimodule_context`` and ``intertwiner_ideal_context``.  This registry is
+the only process-wide table besides the memoized ``modules.partitions``,
+and the library itself (``FockIntertwiner`` included) takes its modules
+from it, so one module id has one instance and one set of caches.  Reusing
+the registry's instances across a session (CLI run, test suite) is what
+makes repeated checks cheap; a caller that wants a cold, separately freed
+session builds its own instances (``HeisenbergVOA()``, ...) instead.
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ action is derived from those base rules through the iterate formula
                       [ a_(m-i) u_(n+i) w  -  (-1)^m u_(m+n-i) a_(i) w ],
 
 with both inner sums finite because the module is lower bounded.  One
-memoized ``ModeTable`` carries it, both for a module's own vertex operator
-(the intertwining operator of type (W; V, W)) and for the free-boson
-intertwiner's modes.  Instances are immutable after construction; the
-per-instance caches (modes and ideal windows) only ever map a key to one
-value, so concurrent readers always observe identical results.
+memoized ``ModeTable`` carries it for a module's vertex operator (type
+(W; V, W)), its module-to-algebra operator Y_WV (type (W; W, V)) and the
+free-boson intertwiner's modes.  Instances are immutable after
+construction; the per-instance caches (modes and ideal windows) only ever
+map a key to one value, so concurrent readers always observe identical
+results.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class GenModule:
         self._windows: dict = {}   # (class, N, families) -> {depth: window}
         self._modes = ModeTable(self.algebra, self, self, self._vacuum_mode)
         self._mode_cache = self._modes.memo
+        self._ywv_modes = ModeTable(self, self.algebra, self, self._ywv_bottom)
 
     # --- presentation supplied by subclasses -------------------------------
 
@@ -122,22 +124,29 @@ class GenModule:
         """(Y_W)_n(u) w for u in the algebra, computed exactly."""
         if u.module.module_id != self.algebra.module_id:
             raise ValueError("mode_action: u must live in the algebra")
-        n = int(n)
-        mode = self._modes.basis
-        acc: dict = {}
-        for u_bv, cu in u.terms.items():
-            for w_bv, cw in w.terms.items():
-                accumulate(acc, mode(u_bv, n, w_bv), cu * cw)
-        return GradedVector(self, acc)
+        return self._modes.apply(u, n, w)
 
     def _vacuum_mode(self, n: int, w_bv: BasisVector, d_out: int) -> GradedVector:
         """1_(n) w: Y_(-1)(1) is the identity and every other mode vanishes."""
         return GradedVector(self, {w_bv: Fraction(1)}) if n == -1 else self.zero()
 
+    def _ywv_bottom(self, n: int, u_bv: BasisVector, d_out: int) -> GradedVector:
+        """Y_WV(lw, x) u at x^(-n-1), from e^{xL(-1)} Y_W(u, -x) lw: the sum
+        over j <= d_out of ((-1)^(n+j+1)/j!) L(-1)^j Y_{n+j}(u) lw, Horner-wise."""
+        omega, lw_bv = self.algebra.omega(), BasisVector(self.module_id, ())
+        acc = self.zero()
+        for j in range(d_out, -1, -1):
+            term = self._modes.basis(u_bv, n + j, lw_bv)
+            acc = (self._modes.apply(omega, 0, acc) * Fraction(1, j + 1)
+                   + (term if (n + j) % 2 else -term))
+        return acc
+
     # --- truncation helpers --------------------------------------------------
 
     def mode_vanishing_bound(self, u: GradedVector, w: GradedVector) -> int:
-        """Smallest b with mode_action(u, n, w) = 0 for all n >= b."""
+        """A weight bound b: mode_action(u, n, w) = 0 for n >= b, as the output
+        would lie below depth 0.  Not always the smallest: on fock(0), b = 1 for
+        (alpha, lw) but Y_0(alpha) lw = 0."""
         if u.is_zero() or w.is_zero():
             return 0
         top = max(u_bv.depth - 1 + w_bv.depth
@@ -153,6 +162,7 @@ class ModeTable:
     ``src``, with values in ``out``.
 
     A module's vertex operator is ``ModeTable(algebra, W, W, vacuum mode)``,
+    its module-to-algebra operator ``ModeTable(W, algebra, W, Y_WV(lw))``,
     the free-boson intertwiner ``ModeTable(F_lam, F_mu, F_{lam+mu},
     exponential)``; ``bottom(n, w, d_out)`` is the mode of the bottom vector
     of ``first``.  The output depth is d_out = depth u + depth w - n - 1 +
@@ -169,6 +179,15 @@ class ModeTable:
         self.offset = int(offset) if offset.denominator == 1 else offset
         self.memo: dict = {}
 
+    def apply(self, u: GradedVector, n, w: GradedVector) -> GradedVector:
+        """u_(n) w extended bilinearly; ``_compute`` rejects n outside offset + Z."""
+        n = int(n) if n.denominator == 1 else n
+        acc: dict = {}
+        for u_bv, cu in u.terms.items():
+            for w_bv, cw in w.terms.items():
+                accumulate(acc, self.basis(u_bv, n, w_bv), cu * cw)
+        return GradedVector(self.out, acc)
+
     def basis(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
         key = (u_bv, n, w_bv)
         hit = self.memo.get(key)
@@ -181,9 +200,10 @@ class ModeTable:
         u = a(p) u', a of weight g and m = p + g - 1.
 
         The first sum stops at i = d_out + p, where u'_(n+i) w reaches depth
-        0; the second at g - 1 + depth w, beyond which a_(i) w = 0.  Neither
-        stops at m or skips a zero C(m, i): p <= -g (a(p) 1 = 0 beyond), so
-        m <= -1 and C(m, i) never vanishes.
+        0; the second at g - 1 + depth w, beyond which a_(i) w = 0.  Both
+        bounds come from depths alone, so they hold for every m: p <= -g gives
+        m <= -1 over an algebra or a Fock module, and a Verma first argument
+        has L(-1)|h> with m = 0, where C(0, i) = 0 for i >= 1 adds zero terms.
         """
         d_out = u_bv.depth + w_bv.depth - n - 1 + self.offset
         if d_out.denominator != 1:

@@ -3,14 +3,16 @@
 Covers the commutator-formula check, the opposite operator
 Y^o(v,x) = Y(e^{xL(1)} (-x^-2)^{L(0)} v, x^-1), the contragredient pairing,
 the module-to-algebra operator Y_{WV}(w,x)u = e^{xL(-1)} Y_W(u,-x) w in mode
-form, and the grading-marker conjugation identity.
+form, and the grading-marker conjugation identity.  Nothing here keeps a
+cache: every mode comes from the memoized mode tables each module owns
+(its vertex operator and its Y_{WV}).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import GradedVector, accumulate, sort_key
+from .basis import GradedVector, sort_key
 from .formal import ZERO, as_scalar, binom
 from .modules import GenModule, basis_window
 
@@ -111,31 +113,9 @@ def contragredient_pairing_check(module: GenModule, v: GradedVector, n: int,
 
 
 def ywv_mode(module: GenModule, w: GradedVector, n, u: GradedVector) -> GradedVector:
-    """The x^(-n-1) coefficient of e^{xL(-1)} Y_W(u, -x) w.
-
-    Unfolds to sum_j ((-1)^(n+j+1) / j!) L(-1)^j Y_{n+j}(u) w; the sum is
-    finite because W is lower bounded.  n must be an integer for the
-    module-algebra-module arrangement shipped here.
-    """
-    n = as_scalar(n)
-    if n.denominator != 1:
-        raise ValueError("ywv_mode: mode index must be an integer for W (x) V -> W")
-    n = int(n)
-    omega = module.algebra.omega()
-    acc: dict = {}
-    top = module.mode_vanishing_bound(u, w)
-    fact = Fraction(1)
-    for j in range(0, max(0, top - n)):
-        if j > 1:
-            fact *= j
-        term = module.mode_action(u, n + j, w)
-        if term.is_zero():
-            continue
-        for _ in range(j):
-            term = module.mode_action(omega, 0, term)
-        sign = -1 if (n + j) % 2 == 0 else 1  # (-1)^(n+j+1)
-        accumulate(acc, term, Fraction(sign) / fact)
-    return GradedVector(module, acc)
+    """The x^(-n-1) coefficient of Y_WV(w, x)u = e^{xL(-1)} Y_W(u, -x) w, for
+    integer n: a lookup in the module's Y_WV mode table (type (W; W, V))."""
+    return module._ywv_modes.apply(w, n, u)
 
 
 def l0s_conjugation_check(module: GenModule, u: GradedVector, n: int,

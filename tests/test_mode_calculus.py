@@ -127,9 +127,17 @@ def test_lower_truncation_scan(heis, fock_one, vir_half):
             u = stream.monomial(alg, 3)
             w = stream.monomial(module, 3)
             bound = module.mode_vanishing_bound(u, w)
-            assert not module.mode_action(u, bound - 1, w).is_zero() or True
+            # below the weight bound a mode lands at depth bound - 1 - n >= 0,
+            # so the mode at bound - 1, when nonzero, lands at depth 0
+            for n in range(bound - 4, bound):
+                out = module.mode_action(u, n, w)
+                assert {bv.depth for bv in out.terms} <= {bound - 1 - n}
             for n in range(bound, bound + 5):
                 assert module.mode_action(u, n, w).is_zero()
+    # a weight bound, not the smallest vanishing index: alpha(0) kills |0>
+    zero_momentum = fock(0)
+    assert zero_momentum.mode_vanishing_bound(heis.alpha(), zero_momentum.lw()) == 1
+    assert zero_momentum.mode_action(heis.alpha(), 0, zero_momentum.lw()).is_zero()
 
 
 def test_weight_bookkeeping(heis, fock_half):
