@@ -7,6 +7,7 @@ package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,7 +37,14 @@ def binom(a, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("binom: k must be nonnegative")
-    a = as_scalar(a)
+    return _binom(as_scalar(a), k)
+
+
+# The mode calculus asks for the same few thousand values over and over
+# (about 1 000 distinct ones in ``voazhu axioms --n 0,1``, 4 000 in
+# ``verify-identities``); the bound keeps a long session's memory flat.
+@lru_cache(maxsize=8192)
+def _binom(a: Fraction, k: int) -> Fraction:
     num = ONE
     for i in range(k):
         num *= a - i

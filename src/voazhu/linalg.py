@@ -12,6 +12,17 @@ appends a row and its combo, and never touches a stored one.  Copying the
 lists is therefore enough to fork an echelon form, and the fork and the
 original share every row they have in common (``SparseEchelon.copy``,
 growing a ``WindowSubspace``).
+
+Most rows offered to an ideal window add no rank, so ``insert_rational``
+first reduces a row modulo the prime ``P`` against a second echelon form,
+the images of the stored rows mod ``P`` with monic leads and no combos.  A
+row that reduces to zero there is dropped without exact elimination.  This
+is sound: a row that is independent mod ``P`` is independent over Q, so for
+all but finitely many primes the exact form keeps exactly the rows and
+combos it would keep without the filter, and witnesses do not change.  For
+an unlucky prime a rank-adding row may be dropped; the window then shrinks,
+which only raises the quotient and fusion bounds, and every Certified
+answer is still re-multiplied by its caller.
 """
 
 from __future__ import annotations
@@ -23,6 +34,26 @@ from math import gcd, lcm
 from .basis import GradedVector
 from .errors import WindowOverflowError
 from .modules import GenModule, basis_window
+
+
+P = 2**61 - 1   # the prime of the rank filter
+
+
+def _mod_p(row: dict) -> dict | None:
+    """The image mod P of a row of ints or Fractions, None if a denominator
+    is divisible by P."""
+    out = {}
+    for k, v in row.items():
+        den = v.denominator
+        if den == 1:
+            x = v.numerator % P
+        elif den % P:
+            x = v.numerator * pow(den, -1, P) % P
+        else:
+            return None
+        if x:
+            out[k] = x
+    return out
 
 
 def _strip_gcd(*dicts) -> None:
@@ -63,6 +94,11 @@ class SparseEchelon:
     the surviving coset representatives when the form is used to quotient a
     graded window by a span.  Each stored row carries the integer
     combination of the input rows, as supplied, that it equals.
+
+    ``rows_p`` maps a pivot column to a monic row mod P.  These rows span
+    the images of the stored rows mod P, under the same highest-column
+    pivot rule, and filter ``insert_rational``: a row whose image reduces to
+    zero against them is dropped before any exact elimination.
     """
 
     def __init__(self):
@@ -71,6 +107,7 @@ class SparseEchelon:
         self.rows: list[dict] = []
         self.combos: list[dict] = []    # parallel integer combo rows (input index -> coeff)
         self.pivots: dict[int, int] = {}  # pivot column -> row index
+        self.rows_p: dict[int, dict] = {}  # pivot column -> monic row mod P
         self.n_inserted = 0
 
     @property
@@ -81,7 +118,7 @@ class SparseEchelon:
         """An independent echelon form that shares this one's row dicts."""
         new = copy.copy(self)
         new.rows, new.combos = list(self.rows), list(self.combos)
-        new.pivots = dict(self.pivots)
+        new.pivots, new.rows_p = dict(self.pivots), dict(self.rows_p)
         return new
 
     def _eliminate(self, r: dict, combo: dict) -> tuple:
@@ -105,16 +142,44 @@ class SparseEchelon:
         self.rows.append(r)
         self.combos.append(combo)
 
+    def _reduce_p(self, r: dict) -> dict:
+        """Clear r's leads mod P against ``rows_p``, in place, as far as they
+        are pivots there; returns r."""
+        while r:
+            lead = max(r)
+            prow = self.rows_p.get(lead)
+            if prow is None:
+                break
+            c = r[lead]
+            for k, v in prow.items():
+                s = (r.get(k, 0) - c * v) % P
+                if s:
+                    r[k] = s
+                else:
+                    r.pop(k, None)
+        return r
+
     def insert_rational(self, row: dict) -> bool:
         """Insert a Fraction-valued row; returns True if it increased the rank.
 
-        Zero rows still consume an input index.
+        A row that is zero mod P against ``rows_p`` is dropped unreduced;
+        dropped and zero rows still consume an input index.
         """
+        r_p = _mod_p(row)
+        if r_p is not None and not self._reduce_p(r_p):
+            self.n_inserted += 1
+            return False
         r, combo = self._eliminate(*_scaled(row, self.n_inserted))
         self.n_inserted += 1
-        if r:
-            self._append(r, combo)
-        return bool(r)
+        if not r:
+            return False
+        self._append(r, combo)
+        r_p = self._reduce_p(_mod_p(r))
+        if r_p:
+            lead = max(r_p)
+            inv = pow(r_p[lead], -1, P)
+            self.rows_p[lead] = {k: v * inv % P for k, v in r_p.items()}
+        return True
 
     def reduce(self, row: dict):
         """Reduce a Fraction row; returns (remainder, combo over input rows).

@@ -200,10 +200,10 @@ class ModeTable:
         u = a(p) u', a of weight g and m = p + g - 1.
 
         The first sum stops at i = d_out + p, where u'_(n+i) w reaches depth
-        0; the second at g - 1 + depth w, beyond which a_(i) w = 0.  Both
-        bounds come from depths alone, so they hold for every m: p <= -g gives
-        m <= -1 over an algebra or a Fock module, and a Verma first argument
-        has L(-1)|h> with m = 0, where C(0, i) = 0 for i >= 1 adds zero terms.
+        0; the second at g - 1 + depth w, beyond which a_(i) w = 0.  When
+        m >= 0 both also stop at i = m, beyond which C(m, i) = 0: p <= -g
+        gives m <= -1 over an algebra or a Fock module, but a Verma first
+        argument has L(-1)|h> with m = 0.
         """
         d_out = u_bv.depth + w_bv.depth - n - 1 + self.offset
         if d_out.denominator != 1:
@@ -222,8 +222,9 @@ class ModeTable:
             m = p + g - 1
             rest = BasisVector(self.first.module_id, u_bv.modes[1:])
             acc: dict = {}
+            stop = m + 1 if m >= 0 else None   # C(m, i) = 0 for i > m >= 0
             # first sum: a_(m-i) u'_(n+i) w
-            for i in range(0, d_out + p + 1):
+            for i in range(0, d_out + p + 1)[:stop]:
                 v = self.basis(rest, n + i, w_bv)
                 if v.is_zero():
                     continue
@@ -231,7 +232,7 @@ class ModeTable:
                 accumulate(acc, self.out.gen_action(tag, (m - i) - g + 1, v), c)
             # second sum: u'_(m+n-i) a_(i) w
             sign = 1 if m % 2 else -1  # -(-1)**m
-            for i in range(0, g + w_bv.depth):
+            for i in range(0, g + w_bv.depth)[:stop]:
                 aw = self.src.gen_action(tag, i - g + 1, w_bv)
                 if aw.is_zero():
                     continue

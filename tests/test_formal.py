@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,28 @@ def test_binom_examples():
 
 
 def test_binom_rejects_negative_k():
-    with pytest.raises(ValueError):
-        binom(2, -1)
+    for _ in range(2):   # the second call is not answered from the memo
+        with pytest.raises(ValueError):
+            binom(2, -1)
+
+
+def test_memoized_binom_matches_falling_factorial():
+    rng = random.Random(2024)
+    grid = [Fraction(rng.randint(-30, 30), rng.randint(1, 8)) for _ in range(40)]
+    for a in grid + [Fraction(n) for n in range(-3, 13)]:
+        for k in range(13):
+            num, den = Fraction(1), 1
+            for i in range(k):
+                num *= a - i
+                den *= i + 1
+            assert binom(a, k) == num / den, (a, k)
+            assert binom(a, k) == binom(a, k)   # again, now from the memo
+
+
+def test_binom_int_and_fraction_arguments_agree():
+    assert binom(2, 3) == binom(Fraction(2), 3) == 0
+    assert binom(7, 3) == binom(Fraction(7), 3) == 35
+    assert isinstance(binom(7, 3), Fraction)
 
 
 @given(rationals, st.integers(min_value=1, max_value=30))

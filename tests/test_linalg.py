@@ -1,4 +1,5 @@
-"""Fraction-free echelon forms against a dense Fraction elimination oracle."""
+"""Fraction-free echelon forms against a dense Fraction elimination oracle,
+and the mod-P rank filter in front of them."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import dense_rref
+from voazhu import linalg
+from voazhu.bimodule import action_swap_defect, bimodule_context, commutator_defect
 from voazhu.errors import WindowOverflowError
-from voazhu.linalg import ModuleWindow, SparseEchelon, WindowSubspace, kernel_basis
+from voazhu.heisenberg import FockModule, HeisenbergVOA
+from voazhu.intertwiner import fusion_dim
+from voazhu.linalg import ModuleWindow, SparseEchelon, WindowSubspace, _scaled, kernel_basis
+from voazhu.sampling import SampleStream
+from voazhu.virasoro import VirasoroVOA
+from voazhu.zhu import star_product, zhu_context
 
 
 def random_rows(rng, nrows, ncols, density=0.5):
@@ -176,3 +184,131 @@ def test_window_subspace_witness_soundness(heis):
     for i, c in cert.witness.items():
         rebuilt = rebuilt + ctx.subspace.gens[i] * c
     assert rebuilt == x
+
+
+# --- the mod-P rank filter ------------------------------------------------------
+
+def _plain_exact(rows):
+    """The exact elimination alone, with no filter: (form, rank gains)."""
+    ech, gains = SparseEchelon(), []
+    for i, row in enumerate(rows):
+        r, combo = ech._eliminate(*_scaled(row, i))
+        if r:
+            ech._append(r, combo)
+        gains.append(bool(r))
+    return ech, gains
+
+
+@pytest.mark.parametrize("context, module, N, depth", [
+    (zhu_context, HeisenbergVOA, 0, 8),
+    (zhu_context, HeisenbergVOA, 1, 8),
+    (zhu_context, lambda: VirasoroVOA(Fraction(1, 2)), 0, 8),
+    (zhu_context, lambda: VirasoroVOA(Fraction(1, 2)), 1, 8),
+    (bimodule_context, lambda: FockModule(HeisenbergVOA(), 1), 0, 7),
+    (bimodule_context, lambda: FockModule(HeisenbergVOA(), 1), 1, 7),
+], ids=["heisenberg-N0", "heisenberg-N1", "vir-half-N0", "vir-half-N1",
+        "fock1-N0", "fock1-N1"])
+def test_filtered_window_matches_dense_and_plain_exact(context, module, N, depth):
+    mod = module()
+    base = context(mod, N, depth - 2)
+    ctx = context(mod, N, depth)   # grown from base through SparseEchelon.copy
+    for win in (base, ctx):
+        rows = [win.window.row_of(gv) for gv in win.subspace.gens]
+        ncols = len(win.window.basis)
+        rank, pivots = dense_rref([{ncols - 1 - c: v for c, v in r.items()} for r in rows],
+                                  ncols)
+        assert win.subspace.rank == rank
+        assert set(win.subspace.ech.pivots) == {ncols - 1 - c for c in pivots}
+        filtered = SparseEchelon()
+        gains = [filtered.insert_rational(dict(r)) for r in rows]
+        plain, plain_gains = _plain_exact(rows)
+        assert gains == plain_gains
+        assert sum(gains) < len(rows)   # the filter had rows to drop
+        for form in (filtered, win.subspace.ech):
+            assert (form.rows, form.combos, form.pivots) == \
+                (plain.rows, plain.combos, plain.pivots)
+            assert set(form.rows_p) == set(plain.pivots)
+
+
+def _count_exact(monkeypatch):
+    calls = []
+    eliminate = SparseEchelon._eliminate
+    monkeypatch.setattr(SparseEchelon, "_eliminate",
+                        lambda self, *a: calls.append(1) or eliminate(self, *a))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_filter_leaves_exact_elimination_to_the_rows_that_add_rank(monkeypatch, seed):
+    rng = random.Random(seed)
+    base = random_rows(rng, 4, 8)
+    # dependent rows: rational combinations of the first four
+    rows = base + [_rebuild(base, {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                   for i in range(4)})
+                   for _ in range(6)]
+    calls = _count_exact(monkeypatch)
+    ech = SparseEchelon()
+    gains = [ech.insert_rational(dict(r)) for r in rows]
+    assert not any(gains[4:])
+    assert len(calls) == ech.rank == sum(gains)
+
+
+def _unlucky_answers():
+    """Quotient and fusion bounds and Certified witnesses, on fresh instances
+    so that no window is reused from a cache."""
+    heis, vir = HeisenbergVOA(), VirasoroVOA(Fraction(1, 2))
+    f1, f2, f3 = (FockModule(heis, m) for m in (1, 2, 3))
+    dims = {}
+    for N in (0, 1):
+        dims["heisenberg", N] = zhu_context(heis, N, 8).quotient_dims()
+        dims["vir-half", N] = zhu_context(vir, N, 8).quotient_dims()
+        dims["fock1", N] = bimodule_context(f1, N, 7).quotient_dims()
+    fusion = [fusion_dim(heis, f1, f2, f3, N, w) for N, w in ((0, 4), (0, 6), (1, 4))]
+    certs = []
+    stream = SampleStream(1303)
+    for N in (0, 1):
+        for _ in range(6):
+            u, v, w = (stream.monomial(heis, 2) for _ in range(3))
+            assoc = (star_product(heis, star_product(heis, u, v, N), w, N)
+                     - star_product(heis, u, star_product(heis, v, w, N), N))
+            certs.append((zhu_context(heis, N, 8), assoc))
+            x = stream.monomial(f1, 2)
+            for defect in (action_swap_defect(f1, u, x, N), commutator_defect(f1, u, x, N)):
+                certs.append((bimodule_context(f1, N, 7), defect))
+    return dims, fusion, [(ctx, x, ctx.membership(x)) for ctx, x in certs if not x.is_zero()]
+
+
+def test_unlucky_prime_only_makes_answers_more_conservative(monkeypatch):
+    dims, fusion, certs = _unlucky_answers()
+    monkeypatch.setattr(linalg, "P", 3)
+    dims3, fusion3, certs3 = _unlucky_answers()
+    assert dims3 != dims   # P = 3 drops some generators that add rank
+    for key, bounds in dims.items():
+        assert all(b3 >= b for b3, b in zip(dims3[key], bounds)), key
+    assert all(d3 >= d for d3, d in zip(fusion3, fusion))
+    assert any(cert.certified for _, _, cert in certs3)
+    for ctx, x, cert in certs3:
+        if cert.certified:
+            rebuilt = ctx.module.zero()
+            for i, c in cert.witness.items():
+                rebuilt = rebuilt + ctx.subspace.gens[i] * c
+            assert rebuilt == x
+
+
+def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
+    monkeypatch.setattr(linalg, "P", 3)
+    exact_calls = _count_exact(monkeypatch)
+    ech = SparseEchelon()
+    assert ech.insert_rational({0: Fraction(1)})
+    assert len(exact_calls) == 1
+    # zero mod 3 against {0: 1}: dropped before exact elimination
+    assert not ech.insert_rational({0: Fraction(4)})
+    assert len(exact_calls) == 1
+    # a 1/3 entry has no image mod 3, so the exact path decides
+    assert ech.insert_rational({0: Fraction(1), 1: Fraction(1, 3)})
+    assert not ech.insert_rational({0: Fraction(2), 1: Fraction(2, 3)})
+    assert len(exact_calls) == 3
+    assert (ech.rank, ech.n_inserted) == (2, 4)
+    rem, combo = ech.reduce({0: Fraction(1), 1: Fraction(1, 3)})
+    assert not rem and _rebuild([{0: 1}, {0: 4}, {0: 1, 1: Fraction(1, 3)}], combo) == \
+        {0: 1, 1: Fraction(1, 3)}
