@@ -19,8 +19,8 @@ from .basis import GradedVector
 from .modules import GenModule
 from .ops import ywv_mode
 from .zhu import (IDEAL_FAMILIES, IdealWindow, MembershipCert, certify,
-                  circ_residue, lp_element, owned_window, residue_sum,
-                  star_product, weighted_residue_modes)
+                  circ_residue, circ_terms, lp_element, owned_window, residue,
+                  star_alt_terms, star_product, star_terms)
 
 
 def left_star(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> GradedVector:
@@ -30,28 +30,24 @@ def left_star(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> Gr
 
 def right_star(module: GenModule, w: GradedVector, u: GradedVector, N: int) -> GradedVector:
     """w *_N u (right action, through the module-to-algebra operator)."""
-    return residue_sum(module, w, u, N, mode=ywv_mode)
+    return residue(module, w, u, star_terms(N), ywv_mode)
 
 
 def right_star_alt(module: GenModule, w: GradedVector, u: GradedVector, N: int) -> GradedVector:
     """The alternative right action w *_N' u, using only Y_W modes."""
-    return residue_sum(module, u, w, N, primed=True)
+    return residue(module, u, w, star_alt_terms(N))
 
 
 def circ_w(module: GenModule, u: GradedVector, w: GradedVector, N: int,
            p: int = 0, q: int = 0) -> GradedVector:
     """u o_N w, or its deep-power variant Res_x x^(-2N-2-p) (1+x)^(L(0)_s+N+q)."""
-    if p < q or q < 0:
-        raise ValueError("deep-power variant needs p >= q >= 0")
-    return weighted_residue_modes(module, u, w, N + q, -2 * N - 2 - p)
+    return residue(module, u, w, circ_terms(N, p, q))
 
 
 def circ_wv(module: GenModule, w: GradedVector, u: GradedVector, N: int,
             p: int = 0, q: int = 0) -> GradedVector:
     """w o_N u (membership in O_N(W) is a theorem, certified in the tests)."""
-    if p < q or q < 0:
-        raise ValueError("deep-power variant needs p >= q >= 0")
-    return weighted_residue_modes(module, w, u, N + q, -2 * N - 2 - p, ywv_mode)
+    return residue(module, w, u, circ_terms(N, p, q), ywv_mode)
 
 
 class BimoduleContext(IdealWindow):
@@ -89,7 +85,7 @@ def action_swap_defect(module: GenModule, u: GradedVector, w: GradedVector,
     """
     if mirrored:
         return right_star(module, w, u, N) - right_star_alt(module, w, u, N)
-    return left_star(module, u, w, N) - residue_sum(module, w, u, N, primed=True, mode=ywv_mode)
+    return left_star(module, u, w, N) - residue(module, w, u, star_alt_terms(N), ywv_mode)
 
 
 def deep_residue_element(module: GenModule, u: GradedVector, w: GradedVector,
@@ -104,11 +100,10 @@ def deep_residue_element(module: GenModule, u: GradedVector, w: GradedVector,
 def commutator_defect(module: GenModule, u: GradedVector, w: GradedVector,
                       N: int, mirrored: bool = False) -> GradedVector:
     """u *_N w - w *_N u - Res_x Y_W((1+x)^(L(0)_s - 1) u, x) w (or mirrored)."""
+    terms = star_terms(N) + [(-1, -1, 0)]
     if mirrored:
-        return (right_star(module, w, u, N) - left_star(module, u, w, N)
-                - weighted_residue_modes(module, w, u, -1, 0, ywv_mode))
-    return (left_star(module, u, w, N) - right_star(module, w, u, N)
-            - weighted_residue_modes(module, u, w, -1, 0))
+        return residue(module, w, u, terms, ywv_mode) - left_star(module, u, w, N)
+    return residue(module, u, w, terms) - right_star(module, w, u, N)
 
 
 AXIOM_IDS = (

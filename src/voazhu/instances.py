@@ -20,33 +20,27 @@ from .virasoro import VermaModule, VirasoroVOA
 _registry: dict = {}
 
 
-def heisenberg_voa() -> HeisenbergVOA:
-    key = ("heis",)
+def _shared(key: tuple, build):
+    """The registry's instance under key, built by ``build()`` on first use."""
     if key not in _registry:
-        _registry[key] = HeisenbergVOA()
+        _registry[key] = build()
     return _registry[key]
+
+
+def heisenberg_voa() -> HeisenbergVOA:
+    return _shared(("heis",), HeisenbergVOA)
 
 
 def fock(momentum) -> FockModule:
     momentum = as_scalar(momentum)
-    key = ("fock", momentum)
-    if key not in _registry:
-        _registry[key] = FockModule(heisenberg_voa(), momentum)
-    return _registry[key]
+    return _shared(("fock", momentum), lambda: FockModule(heisenberg_voa(), momentum))
 
 
 def virasoro_voa(c) -> VirasoroVOA:
     c = as_scalar(c)
-    key = ("vir", c)
-    if key not in _registry:
-        _registry[key] = VirasoroVOA(c)
-    return _registry[key]
+    return _shared(("vir", c), lambda: VirasoroVOA(c))
 
 
 def verma(c, h) -> VermaModule:
     c, h = as_scalar(c), as_scalar(h)
-    key = ("verma", c, h)
-    if key not in _registry:
-        _registry[key] = VermaModule(virasoro_voa(c), h)
-    return _registry[key]
-
+    return _shared(("verma", c, h), lambda: VermaModule(virasoro_voa(c), h))

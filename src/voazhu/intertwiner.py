@@ -118,7 +118,6 @@ class FockIntertwiner(LogIntertwiner):
         self.lam = lam
         self.mu = mu
         self.normalization = as_scalar(normalization)
-        self.depth_max = depth_max
         self._modes = ModeTable(self.w1_module, self.w2_module, self.w3_module, self._bottom)
         self._modes.depth_max = depth_max
 

@@ -1,11 +1,14 @@
 """The level-N product, the ideal window of O_N, and the bottom-slice modules.
 
-For a vertex operator algebra V and N >= 0 the product is
+Every product here is one call of ``residue``: the sum of
+c Res_x x^p Y((1+x)^(L(0)_s + e) u, x) w over a list of terms (c, e, p),
+each mode Y_k(u_d) w evaluated once.  For a vertex operator algebra V and
+N >= 0 the product (the terms ``star_terms(N)``) is
 
     u *_N v = sum_{m=0}^{N} (-1)^m C(m+N, N)
-              Res_x x^(-N-m-1) Y((1+x)^(L(0)+N) u, x) v,
+              Res_x x^(-N-m-1) Y((1+x)^(L(0)+N) u, x) v.
 
-and the ideal O_N(W) of a module W (O_N(V) is the case W = V) is spanned by
+The ideal O_N(W) of a module W (O_N(V) is the case W = V) is spanned by
 the residues u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)+N) u, x) w together
 with (L(-1) + L(0)_s) w.  The deeper residues x^(-2N-1-n), n >= 2, add
 nothing: by Y(L(-1)u, x) = d/dx Y(u, x), each is a combination of n = 1
@@ -33,59 +36,59 @@ from .modules import GenModule, VOAlgebra, basis_window
 
 # --- residue expansions ------------------------------------------------------
 
-def weighted_residue_modes(module: GenModule, u: GradedVector, w: GradedVector,
-                           binom_exponent_offset, x_power: int,
-                           mode=None) -> GradedVector:
-    """Res_x x^(x_power) Y((1+x)^(L(0)_s + offset) u, x) w, expanded exactly.
+def residue(module: GenModule, u: GradedVector, w: GradedVector, terms,
+            mode=None) -> GradedVector:
+    """sum over (c, e, p) in terms of c Res_x x^p Y((1+x)^(L(0)_s + e) u, x) w.
 
-    The (1+x) exponent applied to a weight-d component of u is d + offset.
-    Unfolds to sum_j C(d + offset, j) Y_(j + x_power)(u_d) w, where the mode
-    Y_k(u_d) w is ``mode(module, u_d, k, w)``; without ``mode`` it is the
-    module's own vertex operator, ``module.mode_action(u_d, k, w)``.
+    The (1+x) exponent applied to a weight-d component u_d of u is d + e, so
+    the sum is sum_k [sum_terms c C(d + e, k - p)] Y_k(u_d) w: each mode
+    Y_k(u_d) w whose total coefficient is nonzero is evaluated once, as
+    ``mode(module, u_d, k, w)``.  Without ``mode`` it is the module's own
+    vertex operator, ``mode_action``, looked up when called.
     """
+    mode = mode or type(module).mode_action
     acc: dict = {}
     for wt, comp in u.homogeneous_components().items():
-        a = wt + binom_exponent_offset
-        j_top = module.mode_vanishing_bound(comp, w) - x_power
-        for j in range(0, max(0, j_top)):
-            c = binom(a, j)
-            if c == 0:
-                continue
-            if mode is None:
-                term = module.mode_action(comp, j + x_power, w)
-            else:
-                term = mode(module, comp, j + x_power, w)
-            if term.is_zero():
-                continue
-            accumulate(acc, term, c)
+        bound = module.mode_vanishing_bound(comp, w)
+        coeffs: dict = {}
+        for c, e, p in terms:
+            for k in range(p, bound):
+                b = binom(wt + e, k - p)
+                if b:
+                    coeffs[k] = coeffs.get(k, 0) + c * b
+        for k, c in coeffs.items():
+            if c:
+                accumulate(acc, mode(module, comp, k, w), c)
     return GradedVector(module, acc)
 
 
-def residue_sum(module: GenModule, u: GradedVector, w: GradedVector, N: int,
-                primed: bool = False, mode=None) -> GradedVector:
-    """sum_{m=0}^{N} s_m C(m+N, N) Res_x x^(-N-m-1) Y((1+x)^(L(0)_s + e_m) u, x) w.
+def star_terms(N: int) -> list:
+    """The terms (c, e, p) of u *_N w: (-1)^m C(m+N, N), N, -N-m-1 for m = 0..N."""
+    return [((-1) ** m * binom(m + N, N), N, -N - m - 1) for m in range(N + 1)]
 
-    s_m = (-1)^m and e_m = N give the product u *_N w; ``primed`` takes
-    s_m = (-1)^N and e_m = m - 1, the shape of the alternative right action
-    *_N'.  ``mode`` picks the vertex operator, as in ``weighted_residue_modes``.
-    """
-    out = module.zero()
-    for m in range(N + 1):
-        sign, offset = ((-1) ** N, m - 1) if primed else ((-1) ** m, N)
-        c = Fraction(sign) * binom(Fraction(m + N), N)
-        out = out + weighted_residue_modes(module, u, w, offset, -N - m - 1, mode) * c
-    return out
+
+def star_alt_terms(N: int) -> list:
+    """The terms of w *_N' u, a residue of u on w: (-1)^N C(m+N, N), m - 1, -N-m-1."""
+    return [((-1) ** N * binom(m + N, N), m - 1, -N - m - 1) for m in range(N + 1)]
+
+
+def circ_terms(N: int, p: int = 0, q: int = 0) -> list:
+    """The term of u o_N w, Res_x x^(-2N-2-p) Y((1+x)^(L(0)_s+N+q) u, x) w;
+    p = q = 0 is the ideal generator, p >= q >= 0 its deep-power variants."""
+    if p < q or q < 0:
+        raise ValueError("deep-power variant needs p >= q >= 0")
+    return [(1, N + q, -2 * N - 2 - p)]
 
 
 def star_product(module: GenModule, u: GradedVector, w: GradedVector, N: int) -> GradedVector:
     """u *_N w with u in the algebra and w in the module (left action)."""
-    return residue_sum(module, u, w, N)
+    return residue(module, u, w, star_terms(N))
 
 
 def circ_residue(module: GenModule, u: GradedVector, w: GradedVector,
                  N: int) -> GradedVector:
     """u o_N w = Res_x x^(-2N-2) Y((1+x)^(L(0)+N) u, x) w, an O_N generator."""
-    return weighted_residue_modes(module, u, w, N, -2 * N - 2)
+    return residue(module, u, w, circ_terms(N))
 
 
 def lp_element(module: GenModule, w: GradedVector) -> GradedVector:

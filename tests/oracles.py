@@ -68,6 +68,27 @@ def ywv_series_oracle(module, w, u, n):
     return acc
 
 
+def ywv_residue_oracle(module, w, u, exponent_offset, x_power):
+    """Res_x x^(x_power) (1+x)^(wt w + offset) Y_WV(w,x) u, coefficientwise
+    from ``ywv_series_oracle``."""
+    total = module.zero()
+    for wt, comp in w.homogeneous_components().items():
+        a = wt + exponent_offset
+        for n in range(x_power, module.mode_vanishing_bound(u, comp)):
+            c = binom(a, n - x_power)
+            if c != 0:
+                total = total + ywv_series_oracle(module, comp, u, n) * c
+    return total
+
+
+def ywv_star_oracle(module, w, u, N):
+    total = module.zero()
+    for m in range(N + 1):
+        c = Fraction((-1) ** m) * binom(Fraction(m + N), N)
+        total = total + ywv_residue_oracle(module, w, u, N, -N - m - 1) * c
+    return total
+
+
 def sugawara_mode(module, k, w):
     """L(k) on a Heisenberg-algebra module, from the quadratic expression
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import residue_oracle, star_oracle, ywv_series_oracle
-from voazhu import binom
+from oracles import (residue_oracle, star_oracle, ywv_residue_oracle,
+                     ywv_series_oracle, ywv_star_oracle)
+from voazhu import GradedVector, binom
 from voazhu.bimodule import (action_swap_defect, bimodule_context,
                              certify_bimodule_membership,
                              check_bimodule_axioms, circ_w, circ_wv,
@@ -48,12 +49,21 @@ def test_omega_left_action_frozen_value(heis, fock_one):
 
 def test_right_action_examples(heis, fock_one):
     assert right_star(fock_one, fock_one.lw(), heis.one(), 0) == fock_one.lw()
-    # W = V degenerate case: both sides collapse to the algebra product
-    one = heis.one()
-    u = heis.monomial([("a", -2)])
-    assert right_star(heis, one, u, 0) == star_oracle(heis, one, u, 0) * 0 + right_star(heis, one, u, 0)
     # frozen value: |1> *_0 alpha = -1/2 |1>
     assert right_star(fock_one, fock_one.lw(), heis.alpha(), 0) == fock_one.lw() * Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("name", ["heis", "vir_half"])
+def test_right_action_on_the_algebra_is_the_product(name, request):
+    """W = V: skew symmetry makes Y_WV(w, x)u = Y(w, x)u, so w *_N u is the
+    algebra product w *_N u."""
+    alg = request.getfixturevalue(name)
+    stream = SampleStream(67)
+    for N in (0, 1, 2):
+        for _ in range(6):
+            w = stream.monomial(alg, 3)
+            u = stream.monomial(alg, 3)
+            assert right_star(alg, w, u, N) == star_product(alg, w, u, N)
 
 
 def test_right_action_matches_ywv_oracle(heis, fock_one):
@@ -76,6 +86,51 @@ def test_right_action_matches_ywv_oracle(heis, fock_one):
                     part = part + term * bc
                 total = total + part * c
             assert right_star(fock_one, w, u, N) == total
+
+
+def test_right_alt_matches_residue_oracle(fock_half, verma_ising):
+    stream = SampleStream(68)
+    for module in (fock_half, verma_ising):
+        for N in (0, 1, 2):
+            for _ in range(3):
+                u = stream.monomial(module.algebra, 2)
+                w = stream.monomial(module, 2)
+                want = module.zero()
+                for m in range(N + 1):
+                    c = (-1) ** N * binom(m + N, N)
+                    want = want + residue_oracle(module, u, w, m - 1, -N - m - 1) * c
+                assert right_star_alt(module, w, u, N) == want
+
+
+@pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (1, 1)])
+def test_deep_residues_match_oracles(p, q, fock_one, verma_ising):
+    stream = SampleStream(69)
+    for module in (fock_one, verma_ising):
+        for N in (0, 1):
+            u = stream.monomial(module.algebra, 2)
+            w = stream.monomial(module, 2)
+            x_power = -2 * N - 2 - p
+            assert circ_w(module, u, w, N, p, q) == residue_oracle(
+                module, u, w, N + q, x_power)
+            assert circ_wv(module, w, u, N, p, q) == ywv_residue_oracle(
+                module, w, u, N + q, x_power)
+
+
+def test_commutator_defect_matches_oracles(fock_half, verma_ising):
+    """The commutator term is Res_x Y((1+x)^(L(0)_s - 1) u, x) w, for
+    either operator family."""
+    for module in (fock_half, verma_ising):
+        alg = module.algebra
+        for N in (0, 1):
+            for u_bv in alg.basis_at_depth(2):
+                for w_bv in module.basis_at_depth(1) + module.basis_at_depth(2):
+                    u = GradedVector(alg, {u_bv: Fraction(1)})
+                    w = GradedVector(module, {w_bv: Fraction(1)})
+                    left, right = star_oracle(module, u, w, N), ywv_star_oracle(module, w, u, N)
+                    assert commutator_defect(module, u, w, N) == (
+                        left - right - residue_oracle(module, u, w, -1, 0))
+                    assert commutator_defect(module, u, w, N, mirrored=True) == (
+                        right - left - ywv_residue_oracle(module, w, u, -1, 0))
 
 
 def test_right_agreement_modulo_ideal(heis, fock_one, fock_half, verma_ising):

@@ -195,6 +195,7 @@ def test_modules_come_from_the_registry(it12):
     assert it12.w1_module is fock(1)
     assert it12.w2_module is fock(2)
     assert it12.w3_module is fock(3)
+    assert fock(1) is fock(Fraction(1)) is fock("1")
 
 
 def test_algebra_outside_the_registry_rejected():

@@ -13,8 +13,8 @@ from voazhu import GradedVector
 from voazhu.instances import heisenberg_voa, virasoro_voa
 from voazhu.sampling import SampleStream
 from voazhu.zhu import (certify_membership, circ_residue, lp_element,
-                        o_action, omega0_basis, omega_subspace, star_product,
-                        weighted_residue_modes, zhu_context)
+                        o_action, omega0_basis, omega_subspace, residue,
+                        star_alt_terms, star_product, star_terms, zhu_context)
 
 ALGEBRAS = {"heis": heisenberg_voa, "vir(1/2)": lambda: virasoro_voa("1/2"),
             "vir(25)": lambda: virasoro_voa(25)}
@@ -37,9 +37,34 @@ def test_star_matches_residue_oracle(heis, vir_half):
                 assert star_product(alg, u, v, N) == star_oracle(alg, u, v, N)
 
 
+def test_residue_evaluates_each_mode_once(heis, fock_one):
+    """Terms that share a mode Y_k(u_d) w ask for it once; terms that cancel
+    ask for nothing."""
+    asked = []
+
+    def counting(module, comp, k, w):
+        asked.append((repr(comp), k))
+        return module.mode_action(comp, k, w)
+
+    u = heis.alpha() + heis.omega() + heis.monomial([("a", -3)])
+    w = fock_one.monomial([("a", -1)])
+    for N in (0, 1, 2):
+        for terms in (star_terms(N), star_alt_terms(N) + [(1, -1, 0)]):
+            asked.clear()
+            got = residue(fock_one, u, w, terms, counting)
+            assert asked and len(asked) == len(set(asked))
+            want = fock_one.zero()
+            for c, e, p in terms:
+                want = want + residue_oracle(fock_one, u, w, e, p) * c
+            assert got == want
+    asked.clear()
+    assert residue(fock_one, u, w, [(1, 1, -3), (-1, 1, -3)], counting).is_zero()
+    assert asked == []
+
+
 def _circ_n(alg, u, v, N, n):
     """Res_x x^(-2N-1-n) Y((1+x)^(L(0)+N) u, x) v; ``circ_residue`` is n = 1."""
-    return weighted_residue_modes(alg, u, v, N, -2 * N - 1 - n)
+    return residue(alg, u, v, [(1, N, -2 * N - 1 - n)])
 
 
 def _basis_vectors(alg, depths):
