@@ -13,7 +13,7 @@ from fractions import Fraction
 from voazhu.instances import heisenberg_voa
 from voazhu.intertwiner import FockIntertwiner, check_hom_properties, induced_hom
 from voazhu.zhu import lp_element, o_action
-from voazhu.bimodule import circ_w
+from voazhu.bimodule import circ_w, right_star
 
 V = heisenberg_voa()
 it = FockIntertwiner(V, 1, 2)
@@ -31,10 +31,13 @@ for N in (0, 1):
     print(f"  N={N}: rho(a(-1)|1> (x) |2>) =", out)
 
 print("\nhomomorphism equalities (exact):")
-res = check_hom_properties(it, 0, V.alpha(), F1.monomial([("a", -1)]), F2.lw())
+u, w1 = V.alpha(), F1.monomial([("a", -1)])
+res = check_hom_properties(it, 0, u, w1, F2.lw())
+raw = (induced_hom(it, 0, right_star(F1, w1, u, 0), F2.lw())
+       == induced_hom(it, 0, w1, o_action(F2, u, F2.lw())))
 print("  left (plain action):      ", res["left"])
 print("  right (alternative form): ", res["right"])
-print("  right (raw Y_WV form):    ", res["right_raw"], " <- the documented defect")
+print("  right (raw Y_WV form):    ", raw, " <- the documented defect")
 
 print("\nvanishing on the two ideal families:")
 gen_circ = circ_w(F1, V.alpha(), F1.monomial([("a", -1)]), 0)

@@ -2,12 +2,12 @@
 
 An intertwining operator of type (W3; W1, W2) is presented through its
 doubly indexed modes Y_{n;k}(w1) w2 (n a rational exponent, k the log
-power).  The only concrete instance shipped is the free-boson one of type
-(F_{lam+mu}; F_lam, F_mu), built from the normal-ordered exponential of
-the current; it is log-free (k = 0 only) with exponents in -lam*mu + Z.
-Its modes come from a ``modules.ModeTable``, the memoized table that also
-gives each module its vertex operator.  The k-indexed paths are exercised
-by synthetic finite mode tables.
+power), held as one ``modules.ModeTable`` per log power k: the memoized
+table that also gives each module its vertex operator.  The only concrete
+instance shipped is the free-boson one of type (F_{lam+mu}; F_lam, F_mu),
+built from the normal-ordered exponential of the current; it is log-free
+(one table, k = 0) with exponents in -lam*mu + Z.  The k-indexed paths are
+exercised by synthetic finite mode tables.
 
 From an intertwining operator, ``induced_hom`` produces the map
 
@@ -23,7 +23,6 @@ intertwining operators by finite exact linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .basis import BasisVector, GradedVector, accumulate
 from .errors import WindowOverflowError
@@ -32,37 +31,29 @@ from .heisenberg import TAG as HTAG
 from .heisenberg import HeisenbergVOA
 from .instances import fock, heisenberg_voa
 from .linalg import SparseEchelon
-from .modules import GenModule, ModeTable, partitions
+from .modules import GenModule, ModeTable
 from .zhu import o_action, omega0_basis
-from .bimodule import (intertwiner_ideal_context, left_star, right_star,
-                       right_star_alt)
+from .bimodule import intertwiner_ideal_context, left_star, right_star_alt
 
 
 class LogIntertwiner:
-    """Base class: mode family Y_{n;k}(w1) w2 with lazy evaluation."""
+    """Modes Y_{n;k}(w1) w2, one mode table per log power k = 0..log_bound."""
 
     def __init__(self, w1_module: GenModule, w2_module: GenModule,
-                 w3_module: GenModule, log_bound: int = 0):
+                 w3_module: GenModule, tables):
         self.w1_module = w1_module
         self.w2_module = w2_module
         self.w3_module = w3_module
-        self.log_bound = log_bound  # largest k with possibly nonzero modes
-
-    def mode_basis(self, w1_bv: BasisVector, n, k: int, w2_bv: BasisVector) -> GradedVector:
-        raise NotImplementedError
+        self.tables = tuple(tables)
+        self.log_bound = len(self.tables) - 1  # largest k with possibly nonzero modes
 
     def mode(self, w1: GradedVector, n, k: int, w2: GradedVector) -> GradedVector:
-        """Y_{n;k}(w1) w2, extended bilinearly."""
+        """Y_{n;k}(w1) w2, extended bilinearly by table k."""
         if k < 0:
             raise ValueError("log power k must be nonnegative")
-        n = as_scalar(n)
         if k > self.log_bound:
             return self.w3_module.zero()
-        acc: dict = {}
-        for bv1, c1 in w1.terms.items():
-            for bv2, c2 in w2.terms.items():
-                accumulate(acc, self.mode_basis(bv1, n, k, bv2), c1 * c2)
-        return GradedVector(self.w3_module, acc)
+        return self.tables[k].apply(w1, as_scalar(n), w2)
 
     def leading_index(self, w1: GradedVector, w2: GradedVector) -> Fraction:
         """All modes with n above this value kill (w1, w2), by weight reasons."""
@@ -70,22 +61,10 @@ class LogIntertwiner:
                 - self.w3_module.lowest_weight - 1)
 
 
-class RestrictedIntertwiner(LogIntertwiner):
-    """The log-free part: k = 0 modes of a wrapped operator."""
-
-    def __init__(self, inner: LogIntertwiner):
-        super().__init__(inner.w1_module, inner.w2_module, inner.w3_module, log_bound=0)
-        self.inner = inner
-
-    def mode_basis(self, w1_bv, n, k, w2_bv):
-        if k != 0:
-            return self.w3_module.zero()
-        return self.inner.mode_basis(w1_bv, n, 0, w2_bv)
-
-
 def y0_part(it: LogIntertwiner) -> LogIntertwiner:
     """Restrict an operator to its (log x)^0 modes."""
-    return it if it.log_bound == 0 else RestrictedIntertwiner(it)
+    return it if it.log_bound == 0 else LogIntertwiner(
+        it.w1_module, it.w2_module, it.w3_module, it.tables[:1])
 
 
 class FockIntertwiner(LogIntertwiner):
@@ -98,90 +77,82 @@ class FockIntertwiner(LogIntertwiner):
     E_-(lam,x) = exp(lam sum_{n>=1} alpha(-n) x^n / n),
     E_+(lam,x) = exp(-lam sum_{n>=1} alpha(n) x^-n / n),
 
-    where S_lam shifts the momentum.  The modes are a
-    ``modules.ModeTable(F_lam, F_mu, F_{lam+mu}, exponential)``, the table
-    that also gives every module its vertex operator: a composite first
-    argument alpha(p) w1' is reduced to w1' by the iterate formula, with
-    the current acting on F_mu and F_{lam+mu}.  All modes carry k = 0;
-    exponents n lie in -lam*mu + Z, the table's offset h_lam + h_mu -
+    where S_lam shifts the momentum.  Its one table is a
+    ``modules.ModeTable(F_lam, F_mu, F_{lam+mu}, _bottom)``: a composite
+    first argument alpha(p) w1' is reduced to w1' by the iterate formula,
+    with the current acting on F_mu and F_{lam+mu}, and ``_bottom`` reads
+    the bottom vector's modes back from the same table.  All modes carry
+    k = 0; exponents n lie in -lam*mu + Z, the table's offset h_lam + h_mu -
     h_{lam+mu} plus Z.  The three modules are the registry's ``fock(lam)``,
     ``fock(mu)`` and ``fock(lam + mu)``, so the operator shares their gen
     caches and ideal windows.
     """
 
-    def __init__(self, algebra: HeisenbergVOA, lam, mu,
-                 normalization=1, depth_max: int = 48):
+    def __init__(self, algebra: HeisenbergVOA, lam, mu, depth_max: int = 48):
         if algebra is not heisenberg_voa():
             raise ValueError("FockIntertwiner needs the shared heisenberg_voa() algebra")
-        lam, mu = as_scalar(lam), as_scalar(mu)
-        super().__init__(fock(lam), fock(mu), fock(lam + mu), log_bound=0)
-        self.lam = lam
-        self.mu = mu
-        self.normalization = as_scalar(normalization)
-        self._modes = ModeTable(self.w1_module, self.w2_module, self.w3_module, self._bottom)
-        self._modes.depth_max = depth_max
-
-    def _exponential(self, module: GenModule, bv: BasisVector, total: int,
-                     sign: int) -> GradedVector:
-        """x^(sign total) coefficient of exp(sign lam sum_p alpha(-sign p) x^(sign p) / p) bv.
-
-        Each partition of total, with part p of multiplicity j, contributes
-        prod_p (sign lam / p)^j / j! alpha(-sign p)^j bv, the modes acting
-        through ``module.gen_action``: sign = -1 gives E_+(lam, x) on F_mu,
-        sign = +1 gives E_-(lam, x) on F_{lam+mu}.
-        """
-        acc: dict = {}
-        for parts in partitions(total, 1):
-            mult: dict = {}
-            for p in parts:
-                mult[p] = mult.get(p, 0) + 1
-            coeff = Fraction(1)
-            cur = GradedVector(module, {bv: Fraction(1)})
-            for p, j in mult.items():
-                coeff *= (sign * self.lam / p) ** j / factorial(j)
-                for _ in range(j):
-                    cur = module.gen_action(HTAG, -sign * p, cur)
-            accumulate(acc, cur, coeff)
-        return GradedVector(module, acc)
+        self.lam, self.mu = as_scalar(lam), as_scalar(mu)
+        table = ModeTable(fock(self.lam), fock(self.mu), fock(self.lam + self.mu), self._bottom)
+        table.depth_max = depth_max
+        super().__init__(table.first, table.src, table.out, [table])
 
     def _bottom(self, n, w2_bv: BasisVector, d_out: int) -> GradedVector:
-        """The bottom vector's mode of output depth d_out on w2: the x^(-n-1)
-        coefficient of the exponential operator, expanded directly."""
-        d2 = w2_bv.depth
-        acc: dict = {}
-        # E_+ lowers w2 by s, then E_- raises by d_out - (d2 - s) >= 0
-        for s in range(max(0, d2 - d_out), d2 + 1):
-            lowered = self._exponential(self.w2_module, w2_bv, s, -1)
-            for bv_mid, c_mid in lowered.terms.items():
-                shifted = BasisVector(self.w3_module.module_id, bv_mid.modes)
-                raised = self._exponential(self.w3_module, shifted, d_out - d2 + s, 1)
-                accumulate(acc, raised, c_mid)
-        return GradedVector(self.w3_module, {b: c * self.normalization
-                                             for b, c in acc.items()})
+        """Y_n(|lam>) w2, of output depth d_out, by recursion on the table.
 
-    def mode_basis(self, w1_bv: BasisVector, n, k: int, w2_bv: BasisVector) -> GradedVector:
-        if k != 0:
-            return self.w3_module.zero()
-        return self._modes.basis(w1_bv, n, w2_bv)
+        A composite w2 = alpha(m) w2' reduces by [alpha(m), Y(|lam>, x)] =
+        lam x^m Y(|lam>, x):
+
+            Y_n(|lam>) alpha(m) w2' = alpha(m) Y_n(|lam>) w2' - lam Y_{n+m}(|lam>) w2'.
+
+        On |mu> the operator is x^(lam mu) E_-(lam, x) |lam+mu>, and
+        x d/dx E_- = lam sum_p alpha(-p) x^p E_-, so Y_n(|lam>)|mu> is
+        |lam+mu> at d_out = 0 and (lam/t) sum_{p=1..t} alpha(-p)
+        Y_{n+p}(|lam>)|mu> at d_out = t > 0.
+        """
+        table, out = self.tables[0], self.w3_module
+        lw1 = BasisVector(self.w1_module.module_id, ())
+        if w2_bv.modes:
+            (tag, m), rest = w2_bv.modes[0], BasisVector(w2_bv.module_id, w2_bv.modes[1:])
+            return (out.gen_action(tag, m, table.basis(lw1, n, rest))
+                    - table.basis(lw1, n + m, rest) * self.lam)
+        if d_out == 0:
+            return out.lw()
+        acc: dict = {}
+        for p in range(1, d_out + 1):
+            accumulate(acc, out.gen_action(HTAG, -p, table.basis(lw1, n + p, w2_bv)),
+                       self.lam / d_out)
+        return GradedVector(out, acc)
+
+
+class _FiniteTable(ModeTable):
+    """A mode table holding given entries; every other mode reads zero."""
+
+    def __init__(self, first: GenModule, src: GenModule, out: GenModule, entries: dict):
+        super().__init__(first, src, out, None)
+        self.memo.update(entries)
+
+    def _compute(self, u_bv, n, w_bv):
+        return self.out.zero()
 
 
 class TableIntertwiner(LogIntertwiner):
     """A synthetic operator given by a finite table of modes.
 
-    Used to exercise the k > 0 code paths; the table must respect the
-    log-power bound, and is normally built so the mode-level consequence of
-    the formal-derivative axiom holds by construction.
+    ``table`` maps (w1 basis vector, n, k, w2 basis vector) to the mode;
+    every other mode is zero.  Used to exercise the k > 0 code paths; each
+    k must lie in 0..log_bound, and the table is normally built so the
+    mode-level consequence of the formal-derivative axiom holds by
+    construction.
     """
 
     def __init__(self, w1_module, w2_module, w3_module, table: dict, log_bound: int):
-        super().__init__(w1_module, w2_module, w3_module, log_bound)
-        for (_, _, k, _) in table:
-            if k > log_bound:
-                raise ValueError("table entry violates the log-power bound")
-        self.table = {key: val for key, val in table.items() if not val.is_zero()}
-
-    def mode_basis(self, w1_bv, n, k, w2_bv):
-        return self.table.get((w1_bv, as_scalar(n), k, w2_bv), self.w3_module.zero())
+        entries = [{} for _ in range(log_bound + 1)]
+        for (w1_bv, n, k, w2_bv), val in table.items():
+            if not 0 <= k <= log_bound:
+                raise ValueError(f"table entry log power {k} outside 0..{log_bound}")
+            entries[k][(w1_bv, as_scalar(n), w2_bv)] = val
+        super().__init__(w1_module, w2_module, w3_module,
+                         [_FiniteTable(w1_module, w2_module, w3_module, e) for e in entries])
 
 
 # --- the induced map on bottom slices ----------------------------------------
@@ -228,16 +199,15 @@ def check_hom_properties(it: LogIntertwiner, N: int, u: GradedVector,
     right action (the Y_W-mode expansion the calculation actually runs
     through); the two right actions differ by lowest-weight-family ideal
     elements, which the induced map does not annihilate in general, so the
-    raw module-to-algebra form of the right equality is reported separately
-    as ``right_raw`` and is expected to fail off the aligned-weight cases.
+    raw module-to-algebra form of the right equality is expected to fail
+    off the aligned-weight cases (demo 05 shows one).
     """
     W1 = it.w1_module
     left_ok = (induced_hom(it, N, left_star(W1, u, w1, N), w2)
                == o_action(it.w3_module, u, induced_hom(it, N, w1, w2)))
-    rhs = induced_hom(it, N, w1, o_action(it.w2_module, u, w2))
-    right_ok = induced_hom(it, N, right_star_alt(W1, w1, u, N), w2) == rhs
-    right_raw = induced_hom(it, N, right_star(W1, w1, u, N), w2) == rhs
-    return {"left": left_ok, "right": right_ok, "right_raw": right_raw}
+    right_ok = (induced_hom(it, N, right_star_alt(W1, w1, u, N), w2)
+                == induced_hom(it, N, w1, o_action(it.w2_module, u, w2)))
+    return {"left": left_ok, "right": right_ok}
 
 
 # --- fusion dimension ----------------------------------------------------------

@@ -9,8 +9,8 @@ action is derived from those base rules through the iterate formula
 
 with both inner sums finite because the module is lower bounded.  One
 memoized ``ModeTable`` carries it for a module's vertex operator (type
-(W; V, W)), its module-to-algebra operator Y_WV (type (W; W, V)) and the
-free-boson intertwiner's modes.  Instances are immutable after
+(W; V, W)), its module-to-algebra operator Y_WV (type (W; W, V)) and an
+intertwining operator's modes, one table per log power.  Instances are immutable after
 construction; the per-instance caches (modes and ideal windows) only ever
 map a key to one value, so concurrent readers always observe identical
 results.
@@ -164,8 +164,11 @@ class ModeTable:
     A module's vertex operator is ``ModeTable(algebra, W, W, vacuum mode)``,
     its module-to-algebra operator ``ModeTable(W, algebra, W, Y_WV(lw))``,
     the free-boson intertwiner ``ModeTable(F_lam, F_mu, F_{lam+mu},
-    exponential)``; ``bottom(n, w, d_out)`` is the mode of the bottom vector
-    of ``first``.  The output depth is d_out = depth u + depth w - n - 1 +
+    exponential)``, whose bottom modes recurse on the table itself;
+    ``bottom(n, w, d_out)`` is the mode of the bottom vector of ``first``.
+    A synthetic intertwiner's finite tables override ``_compute`` to read
+    zero on a miss.  ``apply`` is the package's one loop over pairs of
+    basis vectors for modes.  The output depth is d_out = depth u + depth w - n - 1 +
     offset with offset = h_first + h_src - h_out, so n must lie in the
     exponent coset offset + Z; ``depth_max``, when set, bounds d_out.
     """

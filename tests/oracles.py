@@ -8,8 +8,11 @@ Expected values frozen in the test files were produced by these.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from voazhu import binom
+from voazhu import BasisVector, GradedVector, binom, partitions
+from voazhu.instances import fock
+from voazhu.modules import ModeTable
 
 
 def series_modes(module, u, w, lo):
@@ -134,6 +137,47 @@ def dense_rref(rows, ncols):
         pivots.append(col)
         rank += 1
     return rank, pivots
+
+
+def _exponential_coefficient(module, bv, lam, total, sign):
+    """x^(sign total) coefficient of exp(sign lam sum_p alpha(-sign p) x^(sign p) / p) bv.
+
+    Each partition of total, with part p of multiplicity j, contributes
+    prod_p (sign lam / p)^j / j! alpha(-sign p)^j bv: sign = -1 gives
+    E_+(lam, x) on F_mu, sign = +1 gives E_-(lam, x) on F_{lam+mu}.
+    """
+    acc = module.zero()
+    for parts in partitions(total, 1):
+        coeff = Fraction(1)
+        cur = GradedVector(module, {bv: Fraction(1)})
+        for p in set(parts):
+            j = parts.count(p)
+            coeff *= (sign * lam / p) ** j / factorial(j)
+        for p in parts:
+            cur = module.gen_action("a", -sign * p, cur)
+        acc = acc + cur * coeff
+    return acc
+
+
+def exponential_fock_table(lam, mu):
+    """The free-boson operator of type (F_{lam+mu}; F_lam, F_mu) as a
+    ``ModeTable`` whose bottom mode is the textbook expansion of
+    E_-(lam, x) E_+(lam, x) S_lam x^(lam alpha(0)): E_+ lowers w2 by s, the
+    momentum shift carries the monomial from F_mu to F_{lam+mu}, and E_-
+    raises it to the output depth."""
+    W1, W2, W3 = fock(lam), fock(mu), fock(lam + mu)
+
+    def bottom(n, w2_bv, d_out):
+        d2 = w2_bv.depth
+        acc = W3.zero()
+        for s in range(max(0, d2 - d_out), d2 + 1):
+            lowered = _exponential_coefficient(W2, w2_bv, lam, s, -1)
+            for bv_mid, c_mid in lowered.terms.items():
+                shifted = BasisVector(W3.module_id, bv_mid.modes)
+                acc = acc + _exponential_coefficient(W3, shifted, lam, d_out - d2 + s, 1) * c_mid
+        return acc
+
+    return ModeTable(W1, W2, W3, bottom)
 
 
 class LogLaurent:

@@ -273,7 +273,7 @@ def test_criterion_7_fusion_isomorphism_instance():
             expected = 1 if delta == 0 else 0
             assert rep["stabilized"], (lam_s, mu_s, str(nu))
             assert rep["dims"] == [expected, expected], (lam_s, mu_s, str(nu))
-        it = FockIntertwiner(V, lam, mu, normalization=1)
+        it = FockIntertwiner(V, lam, mu)
         assert not induced_hom(it, 0, it.w1_module.lw(), it.w2_module.lw()).is_zero()
     elapsed = time.monotonic() - t0
     assert elapsed < 600, f"fusion table took {elapsed:.1f}s"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import LogLaurent
+from oracles import LogLaurent, exponential_fock_table
 from voazhu import GradedVector, binom
 from voazhu.bimodule import circ_w
 from voazhu.errors import DepthExceededError
@@ -73,25 +73,30 @@ def test_degenerate_momentum_zero_is_module_operator():
         for w2_bv in basis_window(F3, 2):
             w2 = GradedVector(F3, {w2_bv: Fraction(1)})
             for n in range(-4, 4):
-                got = it.mode_basis(w1_bv, Fraction(n), 0, w2_bv)
+                got = it.tables[0].basis(w1_bv, Fraction(n), w2_bv)
                 assert got == F3.mode_action(u, n, w2), (w1_bv, n, w2_bv)
                 cases += 1
     assert cases == 224
 
 
-def test_intertwiner_commutator_identity(it12):
-    """[Y_m(u), Y_n(w1)] = sum_j C(m,j) Y_{m+n-j}(Y_j(u) w1) for u = alpha."""
+@pytest.mark.parametrize("lam, mu", [(Fraction(1), Fraction(2)),
+                                     (Fraction(1, 2), Fraction(1, 2))],
+                         ids=["1-2", "half-half"])
+def test_intertwiner_commutator_identity(lam, mu):
+    """[Y_m(u), Y_n(w1)] = sum_j C(m,j) Y_{m+n-j}(Y_j(u) w1) for u = alpha,
+    with n in the exponent coset -lam*mu + Z (non-integral for 1/2, 1/2)."""
     V = heisenberg_voa()
     alpha = V.alpha()
-    F1, F2, F3 = it12.w1_module, it12.w2_module, it12.w3_module
+    it = FockIntertwiner(V, lam, mu)
+    F1, F2, F3 = it.w1_module, it.w2_module, it.w3_module
     stream = SampleStream(301)
     for _ in range(100):
         w1 = stream.monomial(F1, 3)
         w2 = stream.monomial(F2, 3)
         m = stream.mode_index(-3, 3)
-        n = -Fraction(2) + stream.mode_index(-3, 3)
-        lhs = (F3.mode_action(alpha, m, it12.mode(w1, n, 0, w2))
-               - it12.mode(w1, n, 0, F2.mode_action(alpha, m, w2)))
+        n = -lam * mu + stream.mode_index(-3, 3)
+        lhs = (F3.mode_action(alpha, m, it.mode(w1, n, 0, w2))
+               - it.mode(w1, n, 0, F2.mode_action(alpha, m, w2)))
         rhs = F3.zero()
         for j in range(0, w1.max_depth() + 2):
             c = binom(Fraction(m), j)
@@ -100,8 +105,31 @@ def test_intertwiner_commutator_identity(it12):
             yju = F1.mode_action(alpha, j, w1)
             if yju.is_zero():
                 continue
-            rhs = rhs + it12.mode(yju, m + n - j, 0, w2) * c
+            rhs = rhs + it.mode(yju, m + n - j, 0, w2) * c
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("lam, mu", [(Fraction(1), Fraction(2)),
+                                     (Fraction(1, 2), Fraction(1, 2)),
+                                     (Fraction(2), Fraction(-1, 3))],
+                         ids=["1-2", "half-half", "2-minus-third"])
+def test_modes_match_the_exponential_expansion(lam, mu):
+    """Every mode against the textbook E_-(lam,x) E_+(lam,x) partition
+    expansion: w1 of depth <= 3, w2 of depth <= 4, the 7 highest indices."""
+    it = FockIntertwiner(heisenberg_voa(), lam, mu)
+    oracle = exponential_fock_table(lam, mu)
+    F1, F2 = it.w1_module, it.w2_module
+    cases = 0
+    for w1_bv in basis_window(F1, 3):
+        w1 = GradedVector(F1, {w1_bv: Fraction(1)})
+        for w2_bv in basis_window(F2, 4):
+            w2 = GradedVector(F2, {w2_bv: Fraction(1)})
+            top = it.leading_index(w1, w2)
+            for below in range(7):
+                got = it.mode(w1, top - below, 0, w2)
+                assert got == oracle.apply(w1, top - below, w2), (w1_bv, below, w2_bv)
+                cases += 1
+    assert cases == 7 * 12 * 7
 
 
 def test_derivative_rule_fock(it12):
@@ -175,6 +203,9 @@ def test_synthetic_log_table_satisfies_rule(verma_ising):
     assert it.mode(lw, Fraction(-1), 2, lw).is_zero()
     with pytest.raises(ValueError):
         TableIntertwiner(M, M, M, {(lw_bv, Fraction(0), 3, lw_bv): M.lw()}, log_bound=1)
+    # a negative log power is rejected too, not stored where no mode reads it
+    with pytest.raises(ValueError):
+        TableIntertwiner(M, M, M, {(lw_bv, Fraction(0), -1, lw_bv): M.lw()}, log_bound=1)
 
 
 def test_y0_part(it12, verma_ising):
@@ -210,15 +241,6 @@ def test_depth_guard():
     # a composite first argument a(-1)|lam> meets the same bound (output depth 7)
     with pytest.raises(DepthExceededError):
         it.mode(it.w1_module.monomial([("a", -1)]), -9, 0, it.w2_module.lw())
-
-
-def test_normalization_scales_linearly():
-    V = heisenberg_voa()
-    unit = FockIntertwiner(V, 1, 2)
-    double = FockIntertwiner(V, 1, 2, normalization=2)
-    w1, w2 = unit.w1_module.monomial([("a", -1)]), unit.w2_module.lw()
-    n = -Fraction(2)
-    assert double.mode(w1, n, 0, w2) == unit.mode(w1, n, 0, w2) * 2
 
 
 def test_induced_hom_examples(it12):
