@@ -4,7 +4,8 @@ A :class:`BasisVector` is a string of lowering modes applied to the lowest
 weight vector of a module, in canonical order (most negative mode first,
 ties broken by generator tag).  A :class:`GradedVector` is a finite rational
 linear combination of basis vectors of a single module; zero coefficients
-are never stored.
+are never stored, and each stored coefficient is an ``int`` when integral
+and a ``Fraction`` otherwise (``formal.as_scalar``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .formal import ZERO, as_scalar
+from .formal import as_scalar
 
 
 class BasisVector(NamedTuple):
@@ -72,8 +73,8 @@ class GradedVector:
     def __bool__(self):
         return bool(self.terms)
 
-    def coefficient(self, bv: BasisVector) -> Fraction:
-        return self.terms.get(bv, ZERO)
+    def coefficient(self, bv: BasisVector) -> int | Fraction:
+        return self.terms.get(bv, 0)
 
     def max_depth(self) -> int:
         return max((bv.depth for bv in self.terms), default=0)
@@ -107,7 +108,7 @@ class GradedVector:
             raise ValueError("cannot add vectors of different modules")
         out = dict(self.terms)
         for bv, c in other.terms.items():
-            s = out.get(bv, ZERO) + c
+            s = out.get(bv, 0) + c
             if s == 0:
                 out.pop(bv, None)
             else:
@@ -155,7 +156,7 @@ def accumulate(acc: dict, gv: GradedVector, scale=1) -> None:
     if c == 0 or gv.is_zero():
         return
     for bv, c0 in gv.terms.items():
-        s = acc.get(bv, ZERO) + c0 * c
+        s = acc.get(bv, 0) + c0 * c
         if s == 0:
             acc.pop(bv, None)
         else:

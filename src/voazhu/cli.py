@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .basis import GradedVector
 from .errors import VoazhuError
@@ -121,7 +120,7 @@ def cmd_zhu_table(args):
     certs = []
     for d in range(min(args.depth, 3)):
         for bv in algebra.basis_at_depth(d):
-            u = GradedVector(algebra, {bv: Fraction(1)})
+            u = GradedVector(algebra, {bv: 1})
             x = lp_element(algebra, u)
             if x.max_depth() > args.depth:
                 continue

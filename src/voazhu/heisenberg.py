@@ -18,10 +18,10 @@ from .modules import GenModule, VOAlgebra
 TAG = "a"
 
 
-def _act_alpha(module: GenModule, momentum: Fraction, p: int, bv: BasisVector) -> GradedVector:
+def _act_alpha(module: GenModule, momentum, p: int, bv: BasisVector) -> GradedVector:
     if p < 0:
         modes = canonical_modes(bv.modes + ((TAG, p),))
-        return GradedVector(module, {BasisVector(module.module_id, modes): Fraction(1)})
+        return GradedVector(module, {BasisVector(module.module_id, modes): 1})
     if p == 0:
         if momentum == 0:
             return module.zero()
@@ -33,7 +33,7 @@ def _act_alpha(module: GenModule, momentum: Fraction, p: int, bv: BasisVector) -
     pruned = list(bv.modes)
     pruned.remove((TAG, -p))
     out = BasisVector(module.module_id, tuple(pruned))
-    return GradedVector(module, {out: Fraction(p * mult)})
+    return GradedVector(module, {out: p * mult})
 
 
 class HeisenbergVOA(VOAlgebra):
@@ -46,7 +46,7 @@ class HeisenbergVOA(VOAlgebra):
         return {TAG: 1}
 
     def gen_action_basis(self, tag, p, bv):
-        return _act_alpha(self, Fraction(0), p, bv)
+        return _act_alpha(self, 0, p, bv)
 
     def omega(self) -> GradedVector:
         return self.monomial([(TAG, -1), (TAG, -1)], Fraction(1, 2))
@@ -60,7 +60,7 @@ class FockModule(GenModule):
     """Irreducible Fock module F_lambda over the rank-1 Heisenberg algebra."""
 
     def __init__(self, algebra: HeisenbergVOA, momentum):
-        self.momentum = as_scalar(momentum)
+        self.momentum = Fraction(as_scalar(momentum))
         super().__init__(
             f"fock({self.momentum})",
             lowest_weight=self.momentum * self.momentum / 2,

@@ -8,8 +8,6 @@ exposed both for the test suite and for the ``verify-identities`` command.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .formal import binom
 
 
@@ -27,7 +25,7 @@ def verify_telescoping_binomial_sum(n: int) -> bool:
     total: dict = {}  # power of x -> coefficient
     top = [binom(n + 1, j) for j in range(n + 2)]
     for m in range(n + 1):
-        coeff = binom(Fraction(m + n), n)
+        coeff = binom(m + n, n)
         low = -(n + m + 1)
         for j, c in enumerate(top):
             total[low + j] = total.get(low + j, 0) + (-1) ** m * coeff * c
@@ -51,17 +49,17 @@ def verify_bivariate_binomial_cancellation(n: int) -> bool:
         raise ValueError("n must be nonnegative")
     total: dict = {}  # (power of x1, power of x2) -> coefficient
     for m in range(n + 1):
-        outer = (-1) ** m * binom(Fraction(m + n), n)
+        outer = (-1) ** m * binom(m + n, n)
         for i in range(n - m + 1):
-            ci = outer * (-1) ** i * binom(Fraction(-n - m - 1), i)
+            ci = outer * (-1) ** i * binom(-n - m - 1, i)
             for j in range(m + 1):
                 key = (-m - i, i + j)
-                total[key] = total.get(key, 0) + ci * binom(Fraction(m), j)
+                total[key] = total.get(key, 0) + ci * binom(m, j)
         total[(-m, 0)] = total.get((-m, 0), 0) - outer
     return not any(total.values())
 
 
-def alternating_binomial_sum(n: int, i: int) -> Fraction:
+def alternating_binomial_sum(n: int, i: int) -> int:
     """Exact value of  sum_{m=0}^{i} C(m+n, n) C(-n-m-1, i-m)  for 0 <= i <= n.
 
     Equals 1 at i = 0 (a single term, with the 0**0 = 1 convention) and 0
@@ -70,9 +68,9 @@ def alternating_binomial_sum(n: int, i: int) -> Fraction:
     """
     if not (0 <= i <= n):
         raise ValueError("need 0 <= i <= n")
-    total = Fraction(0)
+    total = 0
     for m in range(i + 1):
-        total += binom(Fraction(m + n), n) * binom(Fraction(-n - m - 1), i - m)
+        total += binom(m + n, n) * binom(-n - m - 1, i - m)
     return total
 
 

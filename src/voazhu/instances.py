@@ -13,6 +13,8 @@ session builds its own instances (``HeisenbergVOA()``, ...) instead.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .formal import as_scalar
 from .heisenberg import FockModule, HeisenbergVOA
 from .virasoro import VermaModule, VirasoroVOA
@@ -32,15 +34,15 @@ def heisenberg_voa() -> HeisenbergVOA:
 
 
 def fock(momentum) -> FockModule:
-    momentum = as_scalar(momentum)
+    momentum = Fraction(as_scalar(momentum))
     return _shared(("fock", momentum), lambda: FockModule(heisenberg_voa(), momentum))
 
 
 def virasoro_voa(c) -> VirasoroVOA:
-    c = as_scalar(c)
+    c = Fraction(as_scalar(c))
     return _shared(("vir", c), lambda: VirasoroVOA(c))
 
 
 def verma(c, h) -> VermaModule:
-    c, h = as_scalar(c), as_scalar(h)
+    c, h = Fraction(as_scalar(c)), Fraction(as_scalar(h))
     return _shared(("verma", c, h), lambda: VermaModule(virasoro_voa(c), h))

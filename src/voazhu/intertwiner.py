@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .basis import BasisVector, GradedVector, accumulate
 from .errors import WindowOverflowError
-from .formal import ZERO, as_scalar
+from .formal import as_scalar
 from .heisenberg import TAG as HTAG
 from .heisenberg import HeisenbergVOA
 from .instances import fock, heisenberg_voa
@@ -91,7 +91,7 @@ class FockIntertwiner(LogIntertwiner):
     def __init__(self, algebra: HeisenbergVOA, lam, mu, depth_max: int = 48):
         if algebra is not heisenberg_voa():
             raise ValueError("FockIntertwiner needs the shared heisenberg_voa() algebra")
-        self.lam, self.mu = as_scalar(lam), as_scalar(mu)
+        self.lam, self.mu = Fraction(as_scalar(lam)), Fraction(as_scalar(mu))
         table = ModeTable(fock(self.lam), fock(self.mu), fock(self.lam + self.mu), self._bottom)
         table.depth_max = depth_max
         super().__init__(table.first, table.src, table.out, [table])
@@ -247,7 +247,7 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
     def o_matrix(W: GenModule, u: GradedVector, basis: list) -> list:
         """Column i -> the coordinates over basis of o(u) basis[i]."""
         pos = {bv: i for i, bv in enumerate(basis)}
-        outs = (o_action(W, u, GradedVector(W, {bv: Fraction(1)})) for bv in basis)
+        outs = (o_action(W, u, GradedVector(W, {bv: 1})) for bv in basis)
         return [{pos[b]: c for b, c in out.terms.items()} for out in outs]
 
     ech = SparseEchelon()
@@ -257,18 +257,18 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         row: dict = {}
         for p, c in product.items():
             key = unknown(p, b2i, r)
-            row[key] = row.get(key, ZERO) + c
+            row[key] = row.get(key, 0) + c
         for key, c in o_terms:
-            row[key] = row.get(key, ZERO) - c
+            row[key] = row.get(key, 0) - c
         ech.insert_rational({k: v for k, v in row.items() if v != 0})
 
     nvars = nq * n2 * n3
     for a in range(1, min(window, 6) + 1):
         for u_bv in algebra.basis_at_depth(a):
-            u = GradedVector(algebra, {u_bv: Fraction(1)})
+            u = GradedVector(algebra, {u_bv: 1})
             m3, m2 = o_matrix(W3, u, b3), o_matrix(W2, u, b2)
             for qi, col in enumerate(q_cols):
-                qvec = GradedVector(W1, {ctx.window.basis[col]: Fraction(1)})
+                qvec = GradedVector(W1, {ctx.window.basis[col]: 1})
                 if a + ctx.window.basis[col].depth + 2 * N > window:
                     continue  # the products would leave the window
                 lv = reduce_to_q(left_star(W1, u, qvec, N))

@@ -82,7 +82,7 @@ def _combine(a: dict, b: dict, ca: int, cb: int) -> dict:
 
 
 def _scaled(row: dict, key) -> tuple:
-    """A Fraction row as integers, and the combo {key: scale} that records it."""
+    """A rational row as integers, and the combo {key: scale} that records it."""
     den = lcm(*(v.denominator for v in row.values()))
     return {k: int(v * den) for k, v in row.items() if v != 0}, {key: den}
 
@@ -160,7 +160,7 @@ class SparseEchelon:
         return r
 
     def insert_rational(self, row: dict) -> bool:
-        """Insert a Fraction-valued row; returns True if it increased the rank.
+        """Insert a rational row; returns True if it increased the rank.
 
         A row that is zero mod P against ``rows_p`` is dropped unreduced;
         dropped and zero rows still consume an input index.
@@ -182,7 +182,7 @@ class SparseEchelon:
         return True
 
     def reduce(self, row: dict):
-        """Reduce a Fraction row; returns (remainder, combo over input rows).
+        """Reduce a rational row; returns (remainder, combo over input rows).
 
         remainder is a Fraction dict supported away from all pivot columns;
         combo maps original input-row indices to rational coefficients such
@@ -288,7 +288,7 @@ class WindowSubspace:
 def kernel_basis(rows: list, ncols: int) -> list:
     """Basis of the solution space of (rows) . x = 0, x in Q^ncols.
 
-    rows are Fraction dicts keyed by column.  Returns one kernel vector
+    rows are rational dicts keyed by column.  Returns one kernel vector
     per free column, as a Fraction dict that is 1 at that column and 0 at
     every other free column: the columns enter an echelon form from the
     highest down, and one that reduces to zero is free, with a combo over

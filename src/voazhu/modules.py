@@ -46,7 +46,7 @@ class GenModule:
 
     def __init__(self, module_id: str, lowest_weight, algebra=None, min_part: int = 1):
         self.module_id = module_id
-        self.lowest_weight = as_scalar(lowest_weight)
+        self.lowest_weight = Fraction(as_scalar(lowest_weight))
         self.algebra = algebra if algebra is not None else self
         self.min_part = min_part
         self._gen_cache: dict = {}
@@ -72,7 +72,7 @@ class GenModule:
 
     def lw(self) -> GradedVector:
         """The lowest weight vector as a GradedVector."""
-        return GradedVector(self, {BasisVector(self.module_id, ()): Fraction(1)})
+        return GradedVector(self, {BasisVector(self.module_id, ()): 1})
 
     def basis_vector(self, modes) -> BasisVector:
         bv = BasisVector(self.module_id, canonical_modes(modes))
@@ -128,7 +128,7 @@ class GenModule:
 
     def _vacuum_mode(self, n: int, w_bv: BasisVector, d_out: int) -> GradedVector:
         """1_(n) w: Y_(-1)(1) is the identity and every other mode vanishes."""
-        return GradedVector(self, {w_bv: Fraction(1)}) if n == -1 else self.zero()
+        return GradedVector(self, {w_bv: 1}) if n == -1 else self.zero()
 
     def _ywv_bottom(self, n: int, u_bv: BasisVector, d_out: int) -> GradedVector:
         """Y_WV(lw, x) u at x^(-n-1), from e^{xL(-1)} Y_W(u, -x) lw: the sum
@@ -231,7 +231,7 @@ class ModeTable:
                 v = self.basis(rest, n + i, w_bv)
                 if v.is_zero():
                     continue
-                c = binom(Fraction(m), i) * ((-1) ** i)
+                c = binom(m, i) * ((-1) ** i)
                 accumulate(acc, self.out.gen_action(tag, (m - i) - g + 1, v), c)
             # second sum: u'_(m+n-i) a_(i) w
             sign = 1 if m % 2 else -1  # -(-1)**m
@@ -239,7 +239,7 @@ class ModeTable:
                 aw = self.src.gen_action(tag, i - g + 1, w_bv)
                 if aw.is_zero():
                     continue
-                c = binom(Fraction(m), i) * ((-1) ** i) * sign
+                c = binom(m, i) * ((-1) ** i) * sign
                 for bv2, c2 in aw.terms.items():
                     accumulate(acc, self.basis(rest, m + n - i, bv2), c * c2)
             out = GradedVector(self.out, acc)
@@ -254,7 +254,7 @@ class VOAlgebra(GenModule):
 
     def __init__(self, module_id: str, central_charge, min_part: int = 1):
         super().__init__(module_id, 0, algebra=None, min_part=min_part)
-        self.central_charge = as_scalar(central_charge)
+        self.central_charge = Fraction(as_scalar(central_charge))
 
     def one(self) -> GradedVector:
         return self.lw()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basis import GradedVector, sort_key
-from .formal import ZERO, as_scalar, binom
+from .formal import as_scalar, binom
 from .modules import GenModule, basis_window
 
 
@@ -25,7 +25,7 @@ def commutator_check(module: GenModule, u: GradedVector, m: int,
            - module.mode_action(v, n, module.mode_action(u, m, w)))
     rhs = module.zero()
     for j in range(alg.mode_vanishing_bound(u, v)):
-        c = binom(Fraction(m), j)
+        c = binom(m, j)
         if c == 0:
             continue
         uv = alg.mode_action(u, j, v)
@@ -58,7 +58,7 @@ def opposite_mode(module: GenModule, v: GradedVector, n: int, w: GradedVector) -
         if wt.denominator != 1:
             raise ValueError("opposite operator needs integer-weight algebra elements")
         d = int(wt)
-        sign = Fraction((-1) ** d)
+        sign = (-1) ** d
         fact = Fraction(1)
         for j, lv in enumerate(l_plus1_orbit(alg, comp)):
             if j > 0:
@@ -76,9 +76,8 @@ class DualVector:
         self.module = module
         self.coords = {bv: as_scalar(c) for bv, c in (coords or {}).items() if c != 0}
 
-    def pair(self, w: GradedVector) -> Fraction:
-        return sum((self.coords[bv] * c for bv, c in w.terms.items() if bv in self.coords),
-                   start=ZERO)
+    def pair(self, w: GradedVector) -> int | Fraction:
+        return sum(self.coords[bv] * c for bv, c in w.terms.items() if bv in self.coords)
 
     def __eq__(self, other):
         return isinstance(other, DualVector) and self.coords == other.coords
@@ -95,7 +94,7 @@ def contragredient_mode(module: GenModule, v: GradedVector, n: int,
     coords: dict = {}
     for bv in basis_window(module, window_depth):
         val = wp.pair(opposite_mode(module, v, n,
-                                    GradedVector(module, {bv: Fraction(1)})))
+                                    GradedVector(module, {bv: 1})))
         if val != 0:
             coords[bv] = val
     return DualVector(module, coords)

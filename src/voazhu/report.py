@@ -195,7 +195,7 @@ def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
                 for k in range(config.quotient_samples):
                     u = stream.monomial(alg, config.max_depth)
                     v = stream.monomial(alg, config.max_depth)
-                    w = GradedVector(module, {basis[k % len(basis)]: Fraction(1)})
+                    w = GradedVector(module, {basis[k % len(basis)]: 1})
                     inputs = {"algebra": alg.module_id, "module": module.module_id,
                               "N": N, "u": vector_to_pairs(u), "v": vector_to_pairs(v),
                               "w": vector_to_pairs(w)}
@@ -247,7 +247,7 @@ def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
             for k in range(config.rho_samples):
                 u = stream.monomial(V, config.max_depth)
                 w1 = stream.monomial(W1, config.max_depth)
-                w2 = GradedVector(W2, {b2[k % len(b2)]: Fraction(1)})
+                w2 = GradedVector(W2, {b2[k % len(b2)]: 1})
                 inputs = {"lam": lam_s, "mu": mu_s, "N": N, "u": vector_to_pairs(u),
                           "w1": vector_to_pairs(w1), "w2": vector_to_pairs(w2)}
                 out = induced_hom(it, N, w1, w2)

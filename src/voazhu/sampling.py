@@ -8,7 +8,6 @@ point randomness is involved anywhere.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .basis import GradedVector
 from .modules import GenModule, partitions
@@ -61,9 +60,9 @@ class SampleStream:
         picks = self.rng.sample(list(opts), k)
         out = module.zero()
         for parts in picks:
-            c = Fraction(self.rng.randint(-3, 3))
+            c = self.rng.randint(-3, 3)
             if c == 0:
-                c = Fraction(1)
+                c = 1
             out = out + module.monomial([(tag, -p) for p in parts], c)
         if out.is_zero():
             return module.lw()

@@ -66,7 +66,7 @@ def vector_to_pairs(gv: GradedVector) -> list:
             for bv, c in sorted(gv.terms.items(), key=lambda t: sort_key(t[0]))]
 
 
-def _coefficient(coeff) -> Fraction:
+def _coefficient(coeff) -> int | Fraction:
     try:
         if isinstance(coeff, bool):   # JSON true/false would read as 1/0
             raise TypeError
@@ -84,7 +84,7 @@ def pairs_to_vector(module: GenModule, pairs) -> GradedVector:
     return out
 
 
-def _spec_rational(spec: str, text: str) -> Fraction:
+def _spec_rational(spec: str, text: str) -> int | Fraction:
     try:
         return as_scalar(text)
     except (ValueError, ZeroDivisionError):

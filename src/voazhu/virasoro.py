@@ -20,7 +20,7 @@ from .modules import GenModule, VOAlgebra
 TAG = "L"
 
 
-def _act_virasoro(module: GenModule, c: Fraction, h: Fraction, vacuum: bool,
+def _act_virasoro(module: GenModule, c: Fraction, h, vacuum: bool,
                   p: int, bv: BasisVector) -> GradedVector:
     if not bv.modes:
         if p > 0 or (p == -1 and vacuum):
@@ -28,22 +28,22 @@ def _act_virasoro(module: GenModule, c: Fraction, h: Fraction, vacuum: bool,
         if p == 0:
             return module.zero() if h == 0 else GradedVector(module, {bv: h})
         modes = ((TAG, p),)
-        return GradedVector(module, {BasisVector(module.module_id, modes): Fraction(1)})
+        return GradedVector(module, {BasisVector(module.module_id, modes): 1})
     first_mode = bv.modes[0][1]
     if p <= first_mode:
         modes = ((TAG, p),) + bv.modes
-        return GradedVector(module, {BasisVector(module.module_id, modes): Fraction(1)})
+        return GradedVector(module, {BasisVector(module.module_id, modes): 1})
     # straighten: L(p) L(first) = L(first) L(p) + (p - first) L(p + first) [+ central]
     rest = BasisVector(module.module_id, bv.modes[1:])
     acc: dict = {}
     through = module.gen_action(TAG, p, rest)
     for bv2, c2 in through.terms.items():
         accumulate(acc, module.gen_action(TAG, first_mode, bv2), c2)
-    accumulate(acc, module.gen_action(TAG, p + first_mode, rest), Fraction(p - first_mode))
+    accumulate(acc, module.gen_action(TAG, p + first_mode, rest), p - first_mode)
     if p + first_mode == 0:
         central = Fraction(p**3 - p, 12) * c
         if central != 0:
-            accumulate(acc, GradedVector(module, {rest: Fraction(1)}), central)
+            accumulate(acc, GradedVector(module, {rest: 1}), central)
     return GradedVector(module, acc)
 
 
@@ -58,7 +58,7 @@ class VirasoroVOA(VOAlgebra):
         return {TAG: 2}
 
     def gen_action_basis(self, tag, p, bv):
-        return _act_virasoro(self, self.central_charge, Fraction(0), True, p, bv)
+        return _act_virasoro(self, self.central_charge, 0, True, p, bv)
 
     def omega(self) -> GradedVector:
         return self.monomial([(TAG, -2)])
@@ -68,7 +68,7 @@ class VermaModule(GenModule):
     """Verma module M(c, h): free action of the L(-n), n >= 1, on |h>."""
 
     def __init__(self, algebra: VirasoroVOA, h):
-        self.h = as_scalar(h)
+        self.h = Fraction(as_scalar(h))
         super().__init__(
             f"verma(c={algebra.central_charge},h={self.h})",
             lowest_weight=self.h,

@@ -25,7 +25,6 @@ small to tell, and the caller may retry with a larger one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
@@ -208,7 +207,7 @@ class IdealWindow:
             # (L(-1) + L(0)_s) w tops out at depth w + 1
             for b in range(have, D):
                 for w_bv in mod.basis_at_depth(b):
-                    w = GradedVector(mod, {w_bv: Fraction(1)})
+                    w = GradedVector(mod, {w_bv: 1})
                     self._add(lp_element(mod, w), f"lp[{w_bv}]")
         if "circ" in self.families:
             # residues ordered by (wt u, depth w); one tops out at depth
@@ -217,9 +216,9 @@ class IdealWindow:
             for a in range(1, D + 1):
                 for b in range(max(0, have - a - 2 * N), D - a - 2 * N):
                     for u_bv in alg.basis_at_depth(a):
-                        u = GradedVector(alg, {u_bv: Fraction(1)})
+                        u = GradedVector(alg, {u_bv: 1})
                         for w_bv in mod.basis_at_depth(b):
-                            w = GradedVector(mod, {w_bv: Fraction(1)})
+                            w = GradedVector(mod, {w_bv: 1})
                             gen = circ_residue(mod, u, w, N)
                             self._add(gen, f"circ[{u_bv};{w_bv};n=1]")
 
@@ -306,14 +305,14 @@ def omega_subspace(module: GenModule, N: int, depth_max: int,
     rows: list[dict] = []
     for a in range(1, gen_weight_max + 1):
         for u_bv in alg.basis_at_depth(a):
-            u = GradedVector(alg, {u_bv: Fraction(1)})
+            u = GradedVector(alg, {u_bv: 1})
             for lowering in range(N + 1, depth_max + 1):
                 k = a + lowering - 1  # wt u - k - 1 = -lowering
                 cols: dict = {}
                 for j, w_bv in enumerate(window.basis):
                     if w_bv.depth < lowering:
                         continue  # lands below the lowest weight: zero anyway
-                    out = module.mode_action(u, k, GradedVector(module, {w_bv: Fraction(1)}))
+                    out = module.mode_action(u, k, GradedVector(module, {w_bv: 1}))
                     for bv2, c in out.terms.items():
                         cols.setdefault(bv2, {})[j] = c
                 for bv2, row in cols.items():

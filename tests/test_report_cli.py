@@ -1,5 +1,6 @@
 """Report determinism and the command line surface."""
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -159,6 +160,33 @@ def test_cli_reduce(tmp_path, monkeypatch):
         assert payload["in_ideal_window"] == status
         assert payload["canonical_representative"] == rep
         assert len(calls) == 1
+
+
+# sha256 of the stdout of the commands whose output a refactor or a speed-up
+# must leave byte-identical; a change to these bytes must be deliberate
+GOLDEN_STDOUT = {
+    "zhu-table": (["zhu-table", "--algebra", "virasoro:c=1/2", "--n", "1", "--depth", "8"],
+                  "5aba3b0dc5009b15c7a46a5badad7380613934632495a54f0bc226b19c39ea26"),
+    "fusion": (["fusion", "--w1", "fock:1", "--w2", "fock:2", "--w3", "fock:3",
+                "--n", "1", "--window", "8,10"],
+               "907b366565deea76289506e0042be25ed93489386c95483a8bba924a0c1d46ce"),
+    "verify-identities": (["verify-identities"],
+                          "df419d94ba15b93274fd9222672453de4ca692aaa2f5272b2ed74bedfcc22822"),
+    "reduce": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "1"],
+               "e083513893bc1682d1bc6abe2ea7e719b5648b5d2e688bace3d29b0fdd5fdefe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_cli_stdout_is_frozen(name, tmp_path, src_env):
+    elem = tmp_path / "element.json"
+    elem.write_text(json.dumps([["a(-2)", "1"], ["a(-1)", "1"]]))
+    argv, digest = GOLDEN_STDOUT[name]
+    argv = [a.format(element=elem) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "voazhu.cli", *argv], capture_output=True,
+                          env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_cli_axioms_quick(tmp_path, capsys):
