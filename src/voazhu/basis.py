@@ -65,6 +65,14 @@ class GradedVector:
                     clean[bv] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, module, terms: dict) -> "GradedVector":
+        """A vector over terms that are already clean: nonzero canonical
+        scalars on basis vectors of module.  The dict is taken, not copied."""
+        gv = object.__new__(cls)
+        gv.module, gv.terms = module, terms
+        return gv
+
     # --- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -107,25 +115,19 @@ class GradedVector:
         if other.module is not self.module and other.module.module_id != self.module.module_id:
             raise ValueError("cannot add vectors of different modules")
         out = dict(self.terms)
-        for bv, c in other.terms.items():
-            s = out.get(bv, 0) + c
-            if s == 0:
-                out.pop(bv, None)
-            else:
-                out[bv] = s
-        return GradedVector(self.module, out)
+        accumulate(out, other)
+        return GradedVector._of(self.module, out)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + (-other)
 
     def __neg__(self) -> "GradedVector":
-        return GradedVector(self.module, {bv: -c for bv, c in self.terms.items()})
+        return GradedVector._of(self.module, {bv: -c for bv, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "GradedVector":
-        c = as_scalar(scalar)
-        if c == 0:
-            return GradedVector(self.module)
-        return GradedVector(self.module, {bv: c0 * c for bv, c0 in self.terms.items()})
+        out: dict = {}
+        accumulate(out, self, scalar)
+        return GradedVector._of(self.module, out)
 
     __rmul__ = __mul__
 
@@ -151,7 +153,8 @@ class GradedVector:
 
 
 def accumulate(acc: dict, gv: GradedVector, scale=1) -> None:
-    """In-place ``acc += scale * gv`` on a plain term dictionary."""
+    """In-place ``acc += scale * gv`` on a plain term dictionary; a sum that
+    is integral is stored as an ``int``."""
     c = as_scalar(scale)
     if c == 0 or gv.is_zero():
         return
@@ -160,4 +163,4 @@ def accumulate(acc: dict, gv: GradedVector, scale=1) -> None:
         if s == 0:
             acc.pop(bv, None)
         else:
-            acc[bv] = s
+            acc[bv] = s if type(s) is int or s.denominator != 1 else s.numerator

@@ -241,7 +241,7 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         return (qi * n2 + b2i) * n3 + b3i
 
     def reduce_to_q(vec: GradedVector) -> dict:
-        rem, _ = sub.ech.reduce(ctx.window.row_of(vec))
+        rem = sub.ech.remainder(ctx.window.row_of(vec))
         return {col_pos[c]: v for c, v in rem.items()}
 
     def o_matrix(W: GenModule, u: GradedVector, basis: list) -> list:

@@ -5,7 +5,10 @@ eliminations use cross-multiplication followed by a gcd strip, so no
 rational arithmetic happens inside the one elimination loop
 (``SparseEchelon._eliminate``) that inserts, reductions and kernel bases
 share.  Every stored row carries its combo, the combination of the input
-rows it equals, which turns a reduction into a membership witness.
+rows it equals, which turns a reduction into a membership witness.  A
+caller that needs only the canonical representative asks for
+``SparseEchelon.remainder``: the same elimination, carrying only the
+reduced row's scale instead of the stored rows' combos.
 
 The form is a plain echelon form, not a reduced one: an insert only
 appends a row and its combo, and never touches a stored one.  Copying the
@@ -121,10 +124,15 @@ class SparseEchelon:
         new.pivots, new.rows_p = dict(self.pivots), dict(self.rows_p)
         return new
 
-    def _eliminate(self, r: dict, combo: dict) -> tuple:
+    def _eliminate(self, r: dict, combo: dict, track: bool = True) -> tuple:
         """Clear r's pivot leads, highest first: r <- a*r - b*row with the
         combo alongside, then strip their joint gcd.  Stops at r = 0 or at a
-        lead that is no pivot; returns the new (r, combo)."""
+        lead that is no pivot; returns the new (r, combo).
+
+        With ``track`` off the stored rows' combos are left out: the combo
+        only follows the scale of its own entries, such as r's scale under
+        the key None.
+        """
         while r:
             lead = max(r)
             hit = self.pivots.get(lead)
@@ -133,7 +141,7 @@ class SparseEchelon:
             prow = self.rows[hit]
             a, b = prow[lead], r[lead]
             r = _combine(r, prow, a, -b)
-            combo = _combine(combo, self.combos[hit], a, -b)
+            combo = _combine(combo, self.combos[hit] if track else {}, a, -b)
             _strip_gcd(r, combo)
         return r, combo
 
@@ -181,6 +189,17 @@ class SparseEchelon:
             self.rows_p[lead] = {k: v * inv % P for k, v in r_p.items()}
         return True
 
+    def _reduce(self, row: dict, track: bool) -> tuple:
+        # the row is a virtual input keyed None, so r = combo[None] * row +
+        # stored inputs; a lead that is no pivot is final and set aside
+        r, combo = self._eliminate(*_scaled(row, None), track)
+        rem = {}
+        while r:
+            lead = max(r)
+            rem[lead] = Fraction(r.pop(lead), combo[None])
+            r, combo = self._eliminate(r, combo, track)
+        return rem, combo
+
     def reduce(self, row: dict):
         """Reduce a rational row; returns (remainder, combo over input rows).
 
@@ -188,16 +207,14 @@ class SparseEchelon:
         combo maps original input-row indices to rational coefficients such
         that  input_row_combination + remainder = row.
         """
-        # the row is a virtual input keyed None, so r = combo[None] * row +
-        # stored inputs; a lead that is no pivot is final and set aside
-        r, combo = self._eliminate(*_scaled(row, None))
-        rem = {}
-        while r:
-            lead = max(r)
-            rem[lead] = Fraction(r.pop(lead), combo[None])
-            r, combo = self._eliminate(r, combo)
+        rem, combo = self._reduce(row, True)
         s = combo.pop(None)
         return rem, {i: Fraction(-c, s) for i, c in combo.items()}
+
+    def remainder(self, row: dict) -> dict:
+        """``reduce(row)[0]``, the same elimination without the combo: only
+        the row's own scale is carried along, not the stored rows' combos."""
+        return self._reduce(row, False)[0]
 
 class ModuleWindow:
     """The finite-dimensional graded slice of a module up to a given depth."""
@@ -262,8 +279,7 @@ class WindowSubspace:
 
     def reduce(self, gv: GradedVector) -> GradedVector:
         """Canonical representative of gv modulo the subspace."""
-        rem, _ = self.ech.reduce(self.window.row_of(gv))
-        return self.window.vector_of(rem)
+        return self.window.vector_of(self.ech.remainder(self.window.row_of(gv)))
 
     def split(self, gv: GradedVector):
         """(canonical representative of gv, witness) from one reduction: the

@@ -116,7 +116,7 @@ class GenModule:
         acc: dict = {}
         for bv, c in w.terms.items():
             accumulate(acc, self.gen_action(tag, p, bv), c)
-        return GradedVector(self, acc)
+        return GradedVector._of(self, acc)
 
     # --- composite mode action ----------------------------------------------
 
@@ -189,7 +189,7 @@ class ModeTable:
         for u_bv, cu in u.terms.items():
             for w_bv, cw in w.terms.items():
                 accumulate(acc, self.basis(u_bv, n, w_bv), cu * cw)
-        return GradedVector(self.out, acc)
+        return GradedVector._of(self.out, acc)
 
     def basis(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
         key = (u_bv, n, w_bv)
@@ -242,7 +242,7 @@ class ModeTable:
                 c = binom(m, i) * ((-1) ** i) * sign
                 for bv2, c2 in aw.terms.items():
                     accumulate(acc, self.basis(rest, m + n - i, bv2), c * c2)
-            out = GradedVector(self.out, acc)
+            out = GradedVector._of(self.out, acc)
         if __debug__ and out.terms:
             assert all(bv.depth == d_out for bv in out.terms), \
                 f"weight bookkeeping broken for Y_{n}({u_bv}) on {w_bv}"

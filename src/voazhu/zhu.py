@@ -25,6 +25,7 @@ small to tell, and the caller may retry with a larger one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
@@ -231,8 +232,11 @@ class IdealWindow:
 
         The check runs in every mode, ``python -O`` included: a witness that
         fails to reproduce x yields Inconclusive, never an unverified
-        Certified.  Raises ``WindowOverflowError`` when x does not fit in the
-        window; ``certify`` reads that as Inconclusive.
+        Certified.  It re-multiplies in integers where it can: with s the
+        common denominator of the witness coefficients c_i, the integer
+        multiples (c_i s) of the generators are summed in one term dict and
+        compared with s x.  Raises ``WindowOverflowError`` when x does not
+        fit in the window; ``certify`` reads that as Inconclusive.
         """
         return self.reduce(x)[1]
 
@@ -241,10 +245,11 @@ class IdealWindow:
         rep, witness = self.subspace.split(x)
         if witness is None:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
-        rebuilt = self.module.zero()
+        s = lcm(*(c.denominator for c in witness.values()))
+        rebuilt: dict = {}
         for i, c in witness.items():
-            rebuilt = rebuilt + self.subspace.gens[i] * c
-        if rebuilt != x:
+            accumulate(rebuilt, self.subspace.gens[i], c.numerator * (s // c.denominator))
+        if rebuilt != {bv: c * s for bv, c in x.terms.items()}:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
         return rep, MembershipCert(CERTIFIED, self.depth, witness,
                                    tuple(self.labels[i] for i in witness))

@@ -1,10 +1,14 @@
 """The one escalation ladder, ``zhu.certify``, that every membership query uses."""
 
+from fractions import Fraction
+
 import pytest
 
+from voazhu.bimodule import bimodule_context
 from voazhu.errors import WindowOverflowError
+from voazhu.linalg import WindowSubspace
 from voazhu.zhu import (CERTIFIED, INCONCLUSIVE, MembershipCert, certify,
-                        certify_membership, lp_element)
+                        certify_membership, lp_element, zhu_context)
 
 
 class FakeWindow:
@@ -88,3 +92,45 @@ def test_overflow_without_a_deeper_window_is_inconclusive(heis, retries):
     x = lp_element(heis, heis.monomial([("a", -3), ("a", -1)]))
     cert = certify_membership(heis, 0, x, 3, retries=retries)
     assert cert.status == INCONCLUSIVE
+
+
+# --- the witness check ---------------------------------------------------------
+
+def _tamper_coefficient(sub, witness):
+    i = next(iter(witness))
+    witness[i] += Fraction(1, 7)
+
+
+def _tamper_index(sub, witness):
+    # move one coefficient onto a generator that differs from the one it named
+    i = next(iter(witness))
+    j = next(j for j, g in enumerate(sub.gens) if j not in witness and g != sub.gens[i])
+    witness[j] = witness.pop(i)
+
+
+@pytest.mark.parametrize("tamper", [_tamper_coefficient, _tamper_index],
+                         ids=["coefficient", "index"])
+@pytest.mark.parametrize("case", ["heisenberg", "fock-half"])
+def test_a_witness_that_does_not_rebuild_x_is_inconclusive(monkeypatch, request, case, tamper):
+    if case == "heisenberg":
+        V = request.getfixturevalue("heis")
+        ctx = zhu_context(V, 0, 6)
+        x = (lp_element(V, V.monomial([("a", -1), ("a", -1)])) * Fraction(2, 3)
+             - lp_element(V, V.monomial([("a", -2)])))
+    else:   # lowest weight 1/8: generators with Fraction coefficients
+        W = request.getfixturevalue("fock_half")
+        ctx = bimodule_context(W, 0, 5)
+        x = lp_element(W, W.monomial([("a", -1)])) * Fraction(1, 3) + lp_element(W, W.lw())
+    honest = ctx.membership(x)
+    assert honest.certified
+    split = WindowSubspace.split
+
+    def tampered(self, gv):
+        rep, witness = split(self, gv)
+        tamper(self, witness)
+        return rep, witness
+
+    monkeypatch.setattr(WindowSubspace, "split", tampered)
+    cert = ctx.membership(x)
+    assert cert.status == INCONCLUSIVE and cert.witness is None and cert.labels == ()
+    assert ctx.reduce(x)[1].status == INCONCLUSIVE

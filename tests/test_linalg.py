@@ -199,7 +199,9 @@ def _plain_exact(rows):
     return ech, gains
 
 
-@pytest.mark.parametrize("context, module, N, depth", [
+# six real windows: (context, fresh module, N, depth); each is also built at
+# depth - 2, the base it grows from
+REAL_WINDOWS = pytest.mark.parametrize("context, module, N, depth", [
     (zhu_context, HeisenbergVOA, 0, 8),
     (zhu_context, HeisenbergVOA, 1, 8),
     (zhu_context, lambda: VirasoroVOA(Fraction(1, 2)), 0, 8),
@@ -208,6 +210,9 @@ def _plain_exact(rows):
     (bimodule_context, lambda: FockModule(HeisenbergVOA(), 1), 1, 7),
 ], ids=["heisenberg-N0", "heisenberg-N1", "vir-half-N0", "vir-half-N1",
         "fock1-N0", "fock1-N1"])
+
+
+@REAL_WINDOWS
 def test_filtered_window_matches_dense_and_plain_exact(context, module, N, depth):
     mod = module()
     base = context(mod, N, depth - 2)
@@ -228,6 +233,30 @@ def test_filtered_window_matches_dense_and_plain_exact(context, module, N, depth
             assert (form.rows, form.combos, form.pivots) == \
                 (plain.rows, plain.combos, plain.pivots)
             assert set(form.rows_p) == set(plain.pivots)
+
+
+@REAL_WINDOWS
+def test_remainder_matches_reduce_on_real_windows(context, module, N, depth):
+    """The combo-free remainder is the remainder of the full reduction, on
+    seeded rows with Fraction entries, in the span and outside it."""
+    mod = module()
+    rng = random.Random(100 * N + depth)
+    zero = nonzero = 0
+    for win in (context(mod, N, depth - 2), context(mod, N, depth)):
+        ech, ncols = win.subspace.ech, len(win.window.basis)
+        gens = [win.window.row_of(gv) for gv in win.subspace.gens]
+        probes = random_rows(rng, 6, ncols, density=0.2)
+        probes += [_rebuild(gens, {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                   for i in rng.sample(range(len(gens)), 3)})
+                   for _ in range(4)]
+        probes += [{k: v * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for k, v in r.items()}
+                   for r in rng.sample(gens, 4)]
+        for row in probes:
+            rem = ech.remainder(dict(row))
+            assert rem == ech.reduce(dict(row))[0]
+            zero += not rem
+            nonzero += bool(rem)
+    assert zero and nonzero
 
 
 def _count_exact(monkeypatch):

@@ -312,3 +312,32 @@ def test_cli_reduce_refuses_deep_default_window(tmp_path, src_env, monomial, dep
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert f"default window depth {depth}" in proc.stderr and "--depth" in proc.stderr
+
+
+def test_a_repeated_sample_is_evaluated_once(monkeypatch):
+    """The streams draw with replacement; a repeat copies the entries of the
+    first evaluation, so the report is the same and the work is not."""
+    from voazhu import report
+    calls = {}
+    for name in ("commutator_check", "certify", "check_axiom", "check_hom_properties"):
+        def counted(*args, _f=getattr(report, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(report, name, counted)
+    config = SuiteConfig(**{**QUICK.__dict__, "mode_samples": 16, "quotient_samples": 6,
+                            "bimodule_samples": 4, "rho_samples": 6, "max_depth": 1})
+    entries = run_suite(config)["entries"]
+
+    def drawn(module, check_id):
+        hashes = [e["input_hash"] for e in entries
+                  if (e["module"], e["check_id"]) == (module, check_id)]
+        assert len(set(hashes)) < len(hashes), (module, check_id)   # a repeat
+        return len(set(hashes))
+
+    assert calls["commutator_check"] == drawn("voa-core", "commutator_formula")
+    assert calls["certify"] == 4 * drawn("zhu-quotient", "unit_left")
+    assert calls["check_axiom"] == len(report.AXIOM_IDS) * drawn("an-bimodule", "lw_left")
+    assert calls["check_hom_properties"] == drawn("intertwiner-rho", "hom_left")
+    deduplicated = report_json(run_suite(config))
+    monkeypatch.setattr(report._Reporter, "once", lambda self, key, evaluate: evaluate())
+    assert report_json(run_suite(config)) == deduplicated

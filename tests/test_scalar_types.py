@@ -5,6 +5,7 @@ otherwise, and no float or bool ever appears."""
 from fractions import Fraction
 
 from voazhu import instances
+from voazhu.basis import GradedVector, accumulate
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.intertwiner import FockIntertwiner
 from voazhu.modules import basis_window
@@ -65,3 +66,31 @@ def test_computed_coefficients_are_int_or_fraction():
                 assert all(_canonical(c) for c in out.terms.values()), out
                 seen += len(out.terms)
     assert seen > 1000
+
+
+def test_vector_arithmetic_keeps_scalars_canonical():
+    """Sums, negation, products and ``accumulate`` store an int wherever a
+    value is integral, also when two Fractions sum to an integer."""
+    W = fock(Fraction(1, 2))
+    a, b, c = basis_window(W, 2)[:3]
+    x = GradedVector(W, {a: Fraction(1, 3), b: Fraction(1, 2), c: 2})
+    y = GradedVector(W, {a: Fraction(2, 3), b: 1, c: Fraction(-2)})
+    total = x + y
+    assert total.terms == {a: 1, b: Fraction(3, 2)}
+    assert type(total.terms[a]) is int
+    assert (x - x).terms == {} and (x + (-x)).terms == {}
+    scaled = [x * 6, 6 * x, x * Fraction(3, 2), x * "4/3", x * Fraction(6, 1), -x, x * 0]
+    assert scaled[0].terms == {a: 2, b: 3, c: 12}
+    assert scaled[3].terms == {a: Fraction(4, 9), b: Fraction(2, 3), c: Fraction(8, 3)}
+    assert scaled[6].terms == {}
+    acc: dict = {}
+    accumulate(acc, x, 3)                 # 1, 3/2, 6
+    accumulate(acc, y, Fraction(3, 2))    # + 1, 3/2, -3
+    assert acc == {a: 2, b: 3, c: 3}
+    accumulate(acc, x, Fraction(-3, 2))   # - 1/2, 3/4, 3
+    assert acc == {a: Fraction(3, 2), b: Fraction(9, 4)}
+    accumulate(acc, y, Fraction(3, 4))    # + 1/2, 3/4, -3/2
+    assert acc == {a: 2, b: 3, c: Fraction(-3, 2)}
+    for out in [total, -total, *scaled, GradedVector(W, acc)]:
+        assert all(_canonical(v) for v in out.terms.values()), out
+    assert all(_canonical(v) for v in acc.values()), acc
