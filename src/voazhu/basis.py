@@ -11,19 +11,34 @@ and a ``Fraction`` otherwise (``formal.as_scalar``).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .formal import as_scalar
 
 
-class BasisVector(NamedTuple):
+_mode_index = itemgetter(1)
+
+
+class _BasisFields(NamedTuple):
     module_id: str
     modes: tuple  # tuple of (generator tag, negative mode index), canonical order
+    depth: int    # total lowering below the lowest weight vector, -sum of the modes
 
-    @property
-    def depth(self) -> int:
-        """Total lowering below the lowest weight vector."""
-        return -sum(m for _, m in self.modes)
+
+class BasisVector(_BasisFields):
+    """A basis monomial, built as ``BasisVector(module_id, modes)``; its depth
+    is summed once, here, and stored as a third field.  The depth is a
+    function of the modes, so equality and order are those of
+    (module_id, modes)."""
+
+    __slots__ = ()
+
+    def __new__(cls, module_id: str, modes: tuple):
+        return tuple.__new__(cls, (module_id, modes, -sum(map(_mode_index, modes))))
+
+    def __getnewargs__(self):   # copy and pickle rebuild through __new__
+        return self[:2]
 
     def __str__(self):
         if not self.modes:
@@ -107,7 +122,7 @@ class GradedVector:
         parts: dict = {}
         for bv, c in self.terms.items():
             parts.setdefault(h + bv.depth, {})[bv] = c
-        return {w: GradedVector(self.module, t) for w, t in sorted(parts.items())}
+        return {w: GradedVector._of(self.module, t) for w, t in sorted(parts.items())}
 
     # --- arithmetic -------------------------------------------------------
 

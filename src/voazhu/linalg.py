@@ -10,7 +10,7 @@ caller that needs only the canonical representative asks for
 ``SparseEchelon.remainder``: the same elimination, carrying only the
 reduced row's scale instead of the stored rows' combos.
 
-The form is a plain echelon form, not a reduced one: an insert only
+The exact form is a plain echelon form, not a reduced one: an insert only
 appends a row and its combo, and never touches a stored one.  Copying the
 lists is therefore enough to fork an echelon form, and the fork and the
 original share every row they have in common (``SparseEchelon.copy``,
@@ -18,9 +18,13 @@ growing a ``WindowSubspace``).
 
 Most rows offered to an ideal window add no rank, so ``insert_rational``
 first reduces a row modulo the prime ``P`` against a second echelon form,
-the images of the stored rows mod ``P`` with monic leads and no combos.  A
-row that reduces to zero there is dropped without exact elimination.  This
-is sound: a row that is independent mod ``P`` is independent over Q, so for
+the images of the stored rows mod ``P``, fully reduced and without combos.
+A row that reduces to zero there is dropped without exact elimination.
+Each row mod ``P`` is monic and zero at every other pivot column, so a
+reduction is one pass over the row's pivot columns; an insert
+back-substitutes its new row into the stored rows mod ``P`` by replacing
+them, so a fork still shares no row that it changes.  The filter is
+sound: a row that is independent mod ``P`` is independent over Q, so for
 all but finitely many primes the exact form keeps exactly the rows and
 combos it would keep without the filter, and witnesses do not change.  For
 an unlucky prime a rank-adding row may be dropped; the window then shrinks,
@@ -57,6 +61,16 @@ def _mod_p(row: dict) -> dict | None:
         if x:
             out[k] = x
     return out
+
+
+def _sub_p(r: dict, c: int, row: dict) -> None:
+    """r <- r - c*row mod P, in place, dropping zeros."""
+    for k, v in row.items():
+        s = (r.get(k, 0) - c * v) % P
+        if s:
+            r[k] = s
+        else:
+            del r[k]
 
 
 def _strip_gcd(*dicts) -> None:
@@ -98,10 +112,11 @@ class SparseEchelon:
     graded window by a span.  Each stored row carries the integer
     combination of the input rows, as supplied, that it equals.
 
-    ``rows_p`` maps a pivot column to a monic row mod P.  These rows span
-    the images of the stored rows mod P, under the same highest-column
-    pivot rule, and filter ``insert_rational``: a row whose image reduces to
-    zero against them is dropped before any exact elimination.
+    ``rows_p`` maps a pivot column to a row mod P, fully reduced: monic at
+    its pivot and zero at every other pivot column.  These rows span the
+    images of the stored rows mod P, under the same highest-column pivot
+    rule, and filter ``insert_rational``: a row whose image reduces to zero
+    against them is dropped before any exact elimination.
     """
 
     def __init__(self):
@@ -110,7 +125,7 @@ class SparseEchelon:
         self.rows: list[dict] = []
         self.combos: list[dict] = []    # parallel integer combo rows (input index -> coeff)
         self.pivots: dict[int, int] = {}  # pivot column -> row index
-        self.rows_p: dict[int, dict] = {}  # pivot column -> monic row mod P
+        self.rows_p: dict[int, dict] = {}  # pivot column -> fully reduced row mod P
         self.n_inserted = 0
 
     @property
@@ -151,21 +166,28 @@ class SparseEchelon:
         self.combos.append(combo)
 
     def _reduce_p(self, r: dict) -> dict:
-        """Clear r's leads mod P against ``rows_p``, in place, as far as they
-        are pivots there; returns r."""
-        while r:
-            lead = max(r)
-            prow = self.rows_p.get(lead)
-            if prow is None:
-                break
-            c = r[lead]
-            for k, v in prow.items():
-                s = (r.get(k, 0) - c * v) % P
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
+        """Clear every pivot column of r mod P against ``rows_p``, in place;
+        returns r.  The rows are fully reduced, so clearing one pivot column
+        leaves r's entries at the others as they were: one pass suffices."""
+        rows_p = self.rows_p
+        for col in r.keys() & rows_p.keys():
+            _sub_p(r, r[col], rows_p[col])
         return r
+
+    def _append_p(self, r: dict) -> None:
+        """Add a row mod P, already reduced against ``rows_p``, as a monic
+        row, and clear its lead from the stored rows.  A stored row that
+        changes is replaced, never edited: ``copy`` shares the row dicts."""
+        lead = max(r)
+        inv = pow(r[lead], -1, P)
+        new = {k: v * inv % P for k, v in r.items()}
+        rows_p = self.rows_p
+        for col, prow in rows_p.items():
+            c = prow.get(lead)
+            if c:
+                rows_p[col] = out = dict(prow)
+                _sub_p(out, c, new)
+        rows_p[lead] = new
 
     def insert_rational(self, row: dict) -> bool:
         """Insert a rational row; returns True if it increased the rank.
@@ -184,9 +206,7 @@ class SparseEchelon:
         self._append(r, combo)
         r_p = self._reduce_p(_mod_p(r))
         if r_p:
-            lead = max(r_p)
-            inv = pow(r_p[lead], -1, P)
-            self.rows_p[lead] = {k: v * inv % P for k, v in r_p.items()}
+            self._append_p(r_p)
         return True
 
     def _reduce(self, row: dict, track: bool) -> tuple:

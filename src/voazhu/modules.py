@@ -183,8 +183,16 @@ class ModeTable:
         self.memo: dict = {}
 
     def apply(self, u: GradedVector, n, w: GradedVector) -> GradedVector:
-        """u_(n) w extended bilinearly; ``_compute`` rejects n outside offset + Z."""
+        """u_(n) w extended bilinearly; ``_compute`` rejects n outside offset + Z.
+
+        For single basis vectors with coefficient 1, the common shape of a
+        ``zhu.residue`` call, this is the memo entry itself, not a copy."""
         n = int(n) if n.denominator == 1 else n
+        if len(u.terms) == len(w.terms) == 1:
+            (u_bv, cu), = u.terms.items()
+            (w_bv, cw), = w.terms.items()
+            if cu == cw == 1:
+                return self.basis(u_bv, n, w_bv)
         acc: dict = {}
         for u_bv, cu in u.terms.items():
             for w_bv, cw in w.terms.items():

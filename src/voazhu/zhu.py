@@ -29,7 +29,7 @@ from math import lcm
 
 from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
-from .formal import binom
+from .formal import as_scalar, binom
 from .linalg import ModuleWindow, WindowSubspace, kernel_basis
 from .modules import GenModule, VOAlgebra, basis_window
 
@@ -49,6 +49,7 @@ def residue(module: GenModule, u: GradedVector, w: GradedVector, terms,
     mode = mode or type(module).mode_action
     acc: dict = {}
     for wt, comp in u.homogeneous_components().items():
+        wt = as_scalar(wt)   # an int weight keeps binom's argument off Fraction
         bound = module.mode_vanishing_bound(comp, w)
         coeffs: dict = {}
         for c, e, p in terms:

@@ -1,9 +1,11 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
-from voazhu.basis import GradedVector, canonical_modes, sort_key
+from voazhu.basis import BasisVector, GradedVector, canonical_modes, sort_key
 from voazhu.errors import UnknownGeneratorError
+from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.modules import basis_window, partitions
 
 
@@ -25,6 +27,26 @@ def test_depth_and_weight(fock_half):
     bv = fock_half.basis_vector([("a", -3), ("a", -1)])
     assert bv.depth == 4
     assert fock_half.weight_of(bv) == Fraction(1, 8) + 4
+
+
+@pytest.mark.parametrize("make", [
+    heisenberg_voa, lambda: virasoro_voa("1/2"), lambda: fock(1), lambda: fock("1/2"),
+    lambda: verma("1/2", "1/16"), lambda: verma("1/2", "1/3"),
+])
+def test_stored_depth_is_the_mode_sum(make):
+    """The depth stored at construction is -sum of the modes, and a vector
+    rebuilt from its fields, or deep-copied, compares, hashes and sorts the same."""
+    module = make()
+    window = basis_window(module, 8)
+    assert len(window) > 20
+    for bv in window:
+        assert bv.depth == -sum(m for _, m in bv.modes)
+        rebuilt = BasisVector(bv.module_id, tuple(bv.modes))
+        for twin in (rebuilt, module.basis_vector(bv.modes), copy.deepcopy(bv)):
+            assert type(twin) is BasisVector
+            assert twin == bv and hash(twin) == hash(bv) and twin.depth == bv.depth
+            assert sort_key(twin) == sort_key(bv)
+    assert sorted(reversed(window), key=sort_key) == window
 
 
 def test_unknown_generator_rejected(fock_half):

@@ -233,6 +233,17 @@ def test_filtered_window_matches_dense_and_plain_exact(context, module, N, depth
             assert (form.rows, form.combos, form.pivots) == \
                 (plain.rows, plain.combos, plain.pivots)
             assert set(form.rows_p) == set(plain.pivots)
+            _assert_fully_reduced_mod_p(form)
+
+
+def _assert_fully_reduced_mod_p(form):
+    """rows_p is fully reduced: each row is monic at its pivot and zero at
+    every other pivot column, and every exact row reduces to zero against it."""
+    for col, prow in form.rows_p.items():
+        assert max(prow) == col and prow[col] == 1
+        assert not (set(prow) - {col}) & set(form.rows_p)
+    for row in form.rows:
+        assert not form._reduce_p(linalg._mod_p(row))
 
 
 @REAL_WINDOWS
@@ -257,6 +268,29 @@ def test_remainder_matches_reduce_on_real_windows(context, module, N, depth):
             zero += not rem
             nonzero += bool(rem)
     assert zero and nonzero
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_inserts_into_a_copy_leave_the_original_unchanged(seed):
+    """A fork's inserts back-substitute into the rows mod P it shares with
+    the original; they replace those rows, so the original keeps its own."""
+    rng = random.Random(seed)
+    base = SparseEchelon()
+    for r in random_rows(rng, 4, 10):
+        base.insert_rational(r)
+
+    def snapshot():
+        return ([dict(r) for r in base.rows], [dict(c) for c in base.combos],
+                dict(base.pivots), {col: dict(r) for col, r in base.rows_p.items()})
+
+    before = snapshot()
+    fork = base.copy()
+    for r in random_rows(rng, 4, 10):
+        fork.insert_rational(r)
+    assert fork.rank > base.rank
+    assert any(fork.rows_p[col] is not row for col, row in base.rows_p.items())
+    assert snapshot() == before
+    _assert_fully_reduced_mod_p(fork)
 
 
 def _count_exact(monkeypatch):

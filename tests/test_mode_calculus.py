@@ -140,6 +140,23 @@ def test_lower_truncation_scan(heis, fock_one, vir_half):
     assert zero_momentum.mode_action(heis.alpha(), 0, zero_momentum.lw()).is_zero()
 
 
+def test_unit_modes_are_shared_memo_entries_left_unchanged(heis, fock_one):
+    """For unit basis vectors ``mode_action`` hands out the mode table's memo
+    entry itself, so the vector arithmetic done on it must not edit it."""
+    u = heis.monomial([("a", -1), ("a", -1)])
+    w = fock_one.monomial([("a", -2), ("a", -1)])
+    v = fock_one.mode_action(u, 1, w)
+    assert v and v is fock_one.mode_action(u, 1, w)
+    before = dict(v.terms)
+    for other in (v + v, v - v, -v, v * 3, v * Fraction(1, 2), 2 * v,
+                  fock_one.mode_action(heis.omega(), 0, v),
+                  *v.homogeneous_components().values()):
+        assert other.terms is not v.terms
+    assert v.terms == before and v is fock_one.mode_action(u, 1, w)
+    scaled = fock_one.mode_action(u * 2, 1, w)
+    assert scaled == v * 2 and scaled is not v
+
+
 def test_weight_bookkeeping(heis, fock_half):
     stream = SampleStream(41)
     for module in (heis, fock_half):

@@ -100,6 +100,7 @@ def _snapshot(ctx):
         "gens": list(ctx.subspace.gens),
         "rows": [dict(r) for r in ech.rows],
         "combos": [dict(c) for c in ech.combos],
+        "rows_p": {col: dict(r) for col, r in ech.rows_p.items()},
         "labels": list(ctx.labels),
         "quotient": ctx.quotient_dims(),
     }
