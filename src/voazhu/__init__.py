@@ -16,10 +16,10 @@ from .heisenberg import FockModule, HeisenbergVOA
 from .virasoro import VermaModule, VirasoroVOA
 from .ops import (commutator_check, contragredient_pairing_check, DualVector,
                   l0s_conjugation_check, opposite_mode, ywv_mode)
-from .linalg import ModuleWindow, SparseEchelon, WindowSubspace, kernel_basis
+from .linalg import ModuleWindow, SparseEchelon, WindowSubspace
 from .zhu import (IdealWindow, MembershipCert, ZhuContext, certify,
                   certify_membership, circ_residue, lp_element, o_action,
-                  omega0_basis, omega_subspace, star_product, zhu_context)
+                  omega0_basis, star_product, zhu_context)
 from .bimodule import (BimoduleContext, action_swap_defect, bimodule_context,
                        certify_bimodule_membership, check_axiom,
                        check_bimodule_axioms, circ_w, circ_wv,

@@ -3,10 +3,10 @@
 Row reduction is fraction-free: a row is scaled to integers once, and
 eliminations use cross-multiplication followed by a gcd strip, so no
 rational arithmetic happens inside the one elimination loop
-(``SparseEchelon._eliminate``) that inserts, reductions and kernel bases
-share.  Every stored row carries its combo, the combination of the input
-rows it equals, which turns a reduction into a membership witness.  A
-caller that needs only the canonical representative asks for
+(``SparseEchelon._eliminate``) that inserts and reductions share.  Every
+stored row carries its combo, the combination of the input rows it
+equals, which turns a reduction into a membership witness.  A caller that
+needs only the canonical representative asks for
 ``SparseEchelon.remainder``: the same elimination, carrying only the
 reduced row's scale instead of the stored rows' combos.
 
@@ -236,6 +236,7 @@ class SparseEchelon:
         the row's own scale is carried along, not the stored rows' combos."""
         return self._reduce(row, False)[0]
 
+
 class ModuleWindow:
     """The finite-dimensional graded slice of a module up to a given depth."""
 
@@ -308,7 +309,7 @@ class WindowSubspace:
         rem, combo = self.ech.reduce(self.window.row_of(gv))
         # combo indices refer to insertion order, which matches self.gens;
         # rows that failed to increase rank still consumed an index
-        witness = None if rem else {i: c for i, c in sorted(combo.items()) if c != 0}
+        witness = None if rem else dict(sorted(combo.items()))
         return self.window.vector_of(rem), witness
 
     def quotient_dims_by_depth(self) -> list:
@@ -319,27 +320,3 @@ class WindowSubspace:
             pivot_depth[d] = pivot_depth.get(d, 0) + 1
         return [self.window.module.dim_at_depth(d) - pivot_depth.get(d, 0)
                 for d in range(self.window.depth + 1)]
-
-
-def kernel_basis(rows: list, ncols: int) -> list:
-    """Basis of the solution space of (rows) . x = 0, x in Q^ncols.
-
-    rows are rational dicts keyed by column.  Returns one kernel vector
-    per free column, as a Fraction dict that is 1 at that column and 0 at
-    every other free column: the columns enter an echelon form from the
-    highest down, and one that reduces to zero is free, with a combo over
-    itself and non-free columns only.
-    """
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][i] = v
-    ech = SparseEchelon()
-    basis = []
-    for c in range(ncols - 1, -1, -1):
-        r, combo = ech._eliminate(*_scaled(cols[c], c))
-        if r:
-            ech._append(r, combo)
-        else:
-            basis.append({k: Fraction(v, combo[c]) for k, v in combo.items()})
-    return basis[::-1]

@@ -1,4 +1,4 @@
-"""The level-N product, the ideal window of O_N, and the bottom-slice modules.
+"""The level-N product, the ideal window of O_N, and a module's bottom slice.
 
 Every product here is one call of ``residue``: the sum of
 c Res_x x^p Y((1+x)^(L(0)_s + e) u, x) w over a list of terms (c, e, p),
@@ -30,7 +30,7 @@ from math import lcm
 from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
 from .formal import as_scalar, binom
-from .linalg import ModuleWindow, WindowSubspace, kernel_basis
+from .linalg import ModuleWindow, WindowSubspace
 from .modules import GenModule, VOAlgebra, basis_window
 
 
@@ -60,7 +60,7 @@ def residue(module: GenModule, u: GradedVector, w: GradedVector, terms,
         for k, c in coeffs.items():
             if c:
                 accumulate(acc, mode(module, comp, k, w), c)
-    return GradedVector(module, acc)
+    return GradedVector._of(module, acc)
 
 
 def star_terms(N: int) -> list:
@@ -291,39 +291,12 @@ def certify_membership(algebra: VOAlgebra, N: int, x: GradedVector,
     return certify(lambda d: zhu_context(algebra, N, d), x, depth, retries)[0]
 
 
-# --- bottom slices of a module -------------------------------------------------
+# --- the bottom slice of a module ----------------------------------------------
 
 def omega0_basis(module: GenModule, N: int) -> list:
-    """Basis of the bottom N+1 graded pieces (always inside the annihilator slice)."""
+    """Basis of the bottom slice: the graded pieces of depth 0..N, for W2 and
+    W3 alike.  An induced module is generated by an A_N(V)-module sitting
+    there (Dong-Li-Mason 1998); the annihilator slice Omega_N contains it and
+    can be larger: on M(1/2, 1/16) it also holds the level-2 singular vector,
+    which generates a proper submodule."""
     return basis_window(module, N)
-
-
-def omega_subspace(module: GenModule, N: int, depth_max: int,
-                   gen_weight_max: int) -> WindowSubspace:
-    """Kernel of all modes lowering weight by more than N, inside the window.
-
-    Constraints range over homogeneous algebra elements of weight up to
-    gen_weight_max; raising that bound can only shrink the result, so the
-    answer is a superset of the true annihilator slice in the window.
-    """
-    window = ModuleWindow(module, depth_max)
-    alg = module.algebra
-    rows: list[dict] = []
-    for a in range(1, gen_weight_max + 1):
-        for u_bv in alg.basis_at_depth(a):
-            u = GradedVector(alg, {u_bv: 1})
-            for lowering in range(N + 1, depth_max + 1):
-                k = a + lowering - 1  # wt u - k - 1 = -lowering
-                cols: dict = {}
-                for j, w_bv in enumerate(window.basis):
-                    if w_bv.depth < lowering:
-                        continue  # lands below the lowest weight: zero anyway
-                    out = module.mode_action(u, k, GradedVector(module, {w_bv: 1}))
-                    for bv2, c in out.terms.items():
-                        cols.setdefault(bv2, {})[j] = c
-                for bv2, row in cols.items():
-                    rows.append(row)
-    sub = WindowSubspace(window)
-    for sol in kernel_basis(rows, len(window.basis)):
-        sub.add_generator(window.vector_of(sol))
-    return sub

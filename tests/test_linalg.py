@@ -12,7 +12,7 @@ from voazhu.bimodule import action_swap_defect, bimodule_context, commutator_def
 from voazhu.errors import WindowOverflowError
 from voazhu.heisenberg import FockModule, HeisenbergVOA
 from voazhu.intertwiner import fusion_dim
-from voazhu.linalg import ModuleWindow, SparseEchelon, WindowSubspace, _scaled, kernel_basis
+from voazhu.linalg import ModuleWindow, SparseEchelon, WindowSubspace, _scaled
 from voazhu.sampling import SampleStream
 from voazhu.virasoro import VirasoroVOA
 from voazhu.zhu import star_product, zhu_context
@@ -120,29 +120,6 @@ def test_reduce_remainder_does_not_depend_on_insertion_order(seed):
         probe = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for c in range(7)}
         probe = {c: v for c, v in probe.items() if v}
         assert forms[0].reduce(dict(probe))[0] == forms[1].reduce(dict(probe))[0]
-
-
-def test_kernel_basis_annihilates_and_has_right_dimension():
-    for seed in (7, 8, 9, 10):
-        rng = random.Random(seed)
-        rows = random_rows(rng, 5, 7)
-        ncols = 7
-        basis = kernel_basis(rows, ncols)
-        rank, _ = dense_rref(rows, ncols)
-        assert len(basis) == ncols - rank
-        for sol in basis:
-            for row in rows:
-                s = sum((row[k] * sol.get(k, Fraction(0)) for k in row), Fraction(0))
-                assert s == 0
-        # one vector per free column, 1 there and 0 at every other free
-        # column; the free columns are the non-pivots of the rows' echelon form
-        ech = SparseEchelon()
-        for r in rows:
-            ech.insert_rational(dict(r))
-        free = [c for c in range(ncols) if c not in ech.pivots]
-        assert len(basis) == len(free)
-        for fc, sol in zip(free, basis):
-            assert {c: sol.get(c, 0) for c in free} == {c: int(c == fc) for c in free}
 
 
 def test_window_roundtrip_and_overflow(fock_one):
