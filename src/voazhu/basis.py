@@ -126,15 +126,19 @@ class GradedVector:
 
     # --- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "GradedVector") -> "GradedVector":
+    def _plus(self, other: "GradedVector", scale) -> "GradedVector":
+        """self + scale * other in one pass over other's terms."""
         if other.module is not self.module and other.module.module_id != self.module.module_id:
             raise ValueError("cannot add vectors of different modules")
         out = dict(self.terms)
-        accumulate(out, other)
+        accumulate(out, other, scale)
         return GradedVector._of(self.module, out)
 
+    def __add__(self, other: "GradedVector") -> "GradedVector":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "GradedVector":
         return GradedVector._of(self.module, {bv: -c for bv, c in self.terms.items()})

@@ -10,10 +10,10 @@ action is derived from those base rules through the iterate formula
 with both inner sums finite because the module is lower bounded.  One
 memoized ``ModeTable`` carries it for a module's vertex operator (type
 (W; V, W)), its module-to-algebra operator Y_WV (type (W; W, V)) and an
-intertwining operator's modes, one table per log power.  Instances are immutable after
-construction; the per-instance caches (modes and ideal windows) only ever
-map a key to one value, so concurrent readers always observe identical
-results.
+intertwining operator's modes, one table per log power.  Instances are
+immutable after construction; the per-instance caches (modes, residues and
+ideal windows) only ever map a key to one value, so concurrent readers
+always observe identical results.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class GenModule:
         self.min_part = min_part
         self._gen_cache: dict = {}
         self._windows: dict = {}   # (class, N, families) -> {depth: window}
+        self._residues: dict = {}  # (mode, terms) -> {(u_bv, w_bv): zhu.residue}
         self._modes = ModeTable(self.algebra, self, self, self._vacuum_mode)
         self._mode_cache = self._modes.memo
         self._ywv_modes = ModeTable(self, self.algebra, self, self._ywv_bottom)
@@ -157,6 +158,23 @@ class GenModule:
         return f"<{type(self).__name__} {self.module_id}>"
 
 
+def bilinear(out: GenModule, u: GradedVector, w: GradedVector, entry) -> GradedVector:
+    """The sum of cu cw entry(u_bv, w_bv) over the terms cu u_bv of u and
+    cw w_bv of w, a vector of ``out``: the package's one loop over pairs of
+    basis vectors.  For single basis vectors with coefficient 1 it is the
+    entry itself, not a copy, so callers must not edit what it returns."""
+    if len(u.terms) == len(w.terms) == 1:
+        (u_bv, cu), = u.terms.items()
+        (w_bv, cw), = w.terms.items()
+        if cu == cw == 1:
+            return entry(u_bv, w_bv)
+    acc: dict = {}
+    for u_bv, cu in u.terms.items():
+        for w_bv, cw in w.terms.items():
+            accumulate(acc, entry(u_bv, w_bv), cu * cw)
+    return GradedVector._of(out, acc)
+
+
 class ModeTable:
     """Memoized modes u_(n) w, for basis monomials u of ``first`` and w of
     ``src``, with values in ``out``.
@@ -167,10 +185,11 @@ class ModeTable:
     exponential)``, whose bottom modes recurse on the table itself;
     ``bottom(n, w, d_out)`` is the mode of the bottom vector of ``first``.
     A synthetic intertwiner's finite tables override ``_compute`` to read
-    zero on a miss.  ``apply`` is the package's one loop over pairs of
-    basis vectors for modes.  The output depth is d_out = depth u + depth w - n - 1 +
-    offset with offset = h_first + h_src - h_out, so n must lie in the
-    exponent coset offset + Z; ``depth_max``, when set, bounds d_out.
+    zero on a miss.  ``apply`` extends the memo to vectors through
+    ``bilinear``, the package's one loop over pairs of basis vectors.  The
+    output depth is d_out = depth u + depth w - n - 1 + offset with
+    offset = h_first + h_src - h_out, so n must lie in the exponent coset
+    offset + Z; ``depth_max``, when set, bounds d_out.
     """
 
     depth_max = None
@@ -185,19 +204,11 @@ class ModeTable:
     def apply(self, u: GradedVector, n, w: GradedVector) -> GradedVector:
         """u_(n) w extended bilinearly; ``_compute`` rejects n outside offset + Z.
 
-        For single basis vectors with coefficient 1, the common shape of a
-        ``zhu.residue`` call, this is the memo entry itself, not a copy."""
+        For single basis vectors with coefficient 1, the shape of every mode
+        that ``zhu.residue`` asks for, this is the memo entry itself, not a
+        copy."""
         n = int(n) if n.denominator == 1 else n
-        if len(u.terms) == len(w.terms) == 1:
-            (u_bv, cu), = u.terms.items()
-            (w_bv, cw), = w.terms.items()
-            if cu == cw == 1:
-                return self.basis(u_bv, n, w_bv)
-        acc: dict = {}
-        for u_bv, cu in u.terms.items():
-            for w_bv, cw in w.terms.items():
-                accumulate(acc, self.basis(u_bv, n, w_bv), cu * cw)
-        return GradedVector._of(self.out, acc)
+        return bilinear(self.out, u, w, lambda u_bv, w_bv: self.basis(u_bv, n, w_bv))
 
     def basis(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
         key = (u_bv, n, w_bv)

@@ -2,8 +2,8 @@
 
 Every product here is one call of ``residue``: the sum of
 c Res_x x^p Y((1+x)^(L(0)_s + e) u, x) w over a list of terms (c, e, p),
-each mode Y_k(u_d) w evaluated once.  For a vertex operator algebra V and
-N >= 0 the product (the terms ``star_terms(N)``) is
+memoized on the module per pair of basis vectors.  For a vertex operator
+algebra V and N >= 0 the product (the terms ``star_terms(N)``) is
 
     u *_N v = sum_{m=0}^{N} (-1)^m C(m+N, N)
               Res_x x^(-N-m-1) Y((1+x)^(L(0)+N) u, x) v.
@@ -31,7 +31,7 @@ from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
 from .formal import as_scalar, binom
 from .linalg import ModuleWindow, WindowSubspace
-from .modules import GenModule, VOAlgebra, basis_window
+from .modules import GenModule, VOAlgebra, basis_window, bilinear
 
 
 # --- residue expansions ------------------------------------------------------
@@ -40,26 +40,46 @@ def residue(module: GenModule, u: GradedVector, w: GradedVector, terms,
             mode=None) -> GradedVector:
     """sum over (c, e, p) in terms of c Res_x x^p Y((1+x)^(L(0)_s + e) u, x) w.
 
-    The (1+x) exponent applied to a weight-d component u_d of u is d + e, so
-    the sum is sum_k [sum_terms c C(d + e, k - p)] Y_k(u_d) w: each mode
-    Y_k(u_d) w whose total coefficient is nonzero is evaluated once, as
-    ``mode(module, u_d, k, w)``.  Without ``mode`` it is the module's own
-    vertex operator, ``mode_action``, looked up when called.
+    The (1+x) exponent applied to a basis vector u_bv of weight d is d + e,
+    so its residue on w_bv is sum_k [sum_terms c C(d + e, k - p)] Y_k(u_bv)
+    w_bv: each mode whose total coefficient is nonzero is evaluated once, as
+    ``mode(module, u_bv, k, w_bv)``.  Without ``mode`` it is the module's own
+    vertex operator, ``mode_action``, looked up when called.  The value on a
+    pair of basis vectors is summed once per (mode, terms) and module, and
+    memoized on the module; u and w are expanded over it by
+    ``modules.bilinear``, so two unit basis vectors get the memo entry
+    itself, not a copy.
     """
     mode = mode or type(module).mode_action
+    memo = module._residues.setdefault((mode, tuple(terms)), {})
+
+    def entry(u_bv, w_bv):
+        hit = memo.get((u_bv, w_bv))
+        if hit is None:
+            hit = memo[u_bv, w_bv] = _pair_residue(
+                module, GradedVector._of(u.module, {u_bv: 1}),
+                GradedVector._of(w.module, {w_bv: 1}), terms, mode)
+        return hit
+
+    return bilinear(module, u, w, entry)
+
+
+def _pair_residue(module: GenModule, u: GradedVector, w: GradedVector, terms,
+                  mode) -> GradedVector:
+    """``residue`` of the unit basis vectors u and w, summed over the modes."""
+    (u_bv,) = u.terms
+    wt = as_scalar(u.module.lowest_weight + u_bv.depth)   # an int keeps binom off Fraction
+    bound = module.mode_vanishing_bound(u, w)
+    coeffs: dict = {}
+    for c, e, p in terms:
+        for k in range(p, bound):
+            b = binom(wt + e, k - p)
+            if b:
+                coeffs[k] = coeffs.get(k, 0) + c * b
     acc: dict = {}
-    for wt, comp in u.homogeneous_components().items():
-        wt = as_scalar(wt)   # an int weight keeps binom's argument off Fraction
-        bound = module.mode_vanishing_bound(comp, w)
-        coeffs: dict = {}
-        for c, e, p in terms:
-            for k in range(p, bound):
-                b = binom(wt + e, k - p)
-                if b:
-                    coeffs[k] = coeffs.get(k, 0) + c * b
-        for k, c in coeffs.items():
-            if c:
-                accumulate(acc, mode(module, comp, k, w), c)
+    for k, c in coeffs.items():
+        if c:
+            accumulate(acc, mode(module, u, k, w), c)
     return GradedVector._of(module, acc)
 
 

@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rref, residue_oracle, star_oracle
+from oracles import dense_rref, residue_oracle, star_oracle, ywv_residue_oracle
 from voazhu import GradedVector
-from voazhu.instances import heisenberg_voa, verma, virasoro_voa
+from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.intertwiner import TableIntertwiner, induced_hom
+from voazhu.ops import ywv_mode
 from voazhu.sampling import SampleStream
 from voazhu.zhu import (certify_membership, circ_residue, lp_element,
-                        o_action, omega0_basis, residue,
+                        circ_terms, o_action, omega0_basis, residue,
                         star_alt_terms, star_product, star_terms, zhu_context)
 
 ALGEBRAS = {"heis": heisenberg_voa, "vir(1/2)": lambda: virasoro_voa("1/2"),
@@ -61,6 +62,78 @@ def test_residue_evaluates_each_mode_once(heis, fock_one):
     asked.clear()
     assert residue(fock_one, u, w, [(1, 1, -3), (-1, 1, -3)], counting).is_zero()
     assert asked == []
+
+
+MODULES = {"heis": heisenberg_voa, "fock(1)": lambda: fock(1),
+           "fock(1/2)": lambda: fock("1/2"), "verma(1/2,1/16)": lambda: verma("1/2", "1/16")}
+
+
+def _composite(module, depths, coeffs):
+    """sum of c times the first basis vector at each depth (depths without
+    basis vectors are skipped): several terms of several weights."""
+    out = module.zero()
+    for d, c in zip(depths, coeffs):
+        for bv in module.basis_at_depth(d)[:1]:
+            out = out + GradedVector(module, {bv: c})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_memoized_residue_matches_oracles_on_composites(name):
+    """The residue of composite u and w, summed from the per-pair memo,
+    equals the series oracles, for Y_W and for its Y_WV twin."""
+    W = MODULES[name]()
+    u = _composite(W.algebra, (1, 2, 3), (Fraction(1, 2), -3, 1))
+    w = _composite(W, (0, 1, 2), (2, Fraction(-2, 3), 1))
+    assert len(u.terms) >= 2 and len(w.terms) == 3
+    for N in (0, 1, 2):
+        for terms in (star_terms(N), star_alt_terms(N), circ_terms(N)):
+            want, want_ywv = W.zero(), W.zero()
+            for c, e, p in terms:
+                want = want + residue_oracle(W, u, w, e, p) * c
+                want_ywv = want_ywv + ywv_residue_oracle(W, w, u, e, p) * c
+            for _ in range(2):   # a miss, then a hit on every pair
+                assert residue(W, u, w, terms) == want
+                assert residue(W, w, u, terms, ywv_mode) == want_ywv
+
+
+def test_residue_memo_asks_nothing_on_a_repeat(heis, fock_one):
+    """A second identical call, and a unit pair already summed inside a
+    composite call, are read from the memo without asking ``mode``."""
+    asked = []
+
+    def counting(module, comp, k, w):
+        asked.append((repr(comp), k))
+        return module.mode_action(comp, k, w)
+
+    u = heis.alpha() * 2 + heis.omega() + heis.monomial([("a", -3)])
+    w = fock_one.lw() + fock_one.monomial([("a", -1)]) * Fraction(1, 3)
+    first = residue(fock_one, u, w, star_terms(1), counting)
+    assert asked
+    asked.clear()
+    assert residue(fock_one, u, w, star_terms(1), counting) == first
+    unit_u, unit_w = heis.monomial([("a", -3)]), fock_one.monomial([("a", -1)])
+    residue(fock_one, unit_u, unit_w, star_terms(1), counting)
+    assert asked == []
+    residue(fock_one, unit_u, unit_w, star_terms(2), counting)
+    assert asked
+
+
+def test_unit_residues_are_shared_memo_entries_left_unchanged(heis, fock_one):
+    """For unit basis vectors ``residue`` hands out its memo entry itself,
+    so the vector arithmetic done on it must not edit it."""
+    u = heis.monomial([("a", -1), ("a", -1)])
+    w = fock_one.monomial([("a", -2), ("a", -1)])
+    v = residue(fock_one, u, w, star_terms(1))
+    assert v and v is residue(fock_one, u, w, star_terms(1))
+    before = dict(v.terms)
+    for other in (v + v, v - v, -v, v * 3, v * Fraction(1, 2), 2 * v,
+                  residue(fock_one, u, v, star_terms(1)),
+                  *v.homogeneous_components().values()):
+        assert other.terms is not v.terms
+    assert v.terms == before and v is residue(fock_one, u, w, star_terms(1))
+    scaled = residue(fock_one, u * 2, w, star_terms(1))
+    assert scaled == v * 2 and scaled is not v and v.terms == before
 
 
 def _circ_n(alg, u, v, N, n):
