@@ -7,7 +7,7 @@ exact membership witnesses, including the agreement of the two right
 actions and the commutator-defect congruence.
 """
 
-from voazhu.bimodule import (action_swap_defect, check_bimodule_axioms,
+from voazhu.bimodule import (AXIOM_IDS, action_swap_defect, check_axiom,
                              commutator_defect, left_star, right_star,
                              right_star_alt)
 from voazhu.instances import fock, heisenberg_voa
@@ -29,6 +29,7 @@ print("\ncommutator defect u*w - w*u - Res (1+x)^(L0-1) Y(u,x)w:")
 print("  =", commutator_defect(F, alpha, lw, 0))
 
 print("\nfull congruence battery on (alpha, alpha, |1>), N=0:")
-for entry in check_bimodule_axioms(F, alpha, alpha, lw, 0):
-    print(f"  {entry['axiom_id']:18s} {entry['status']:10s} "
-          f"window={entry['window_D']} witness={entry['witness_size']}")
+for axiom_id in AXIOM_IDS:
+    cert, _ = check_axiom(F, axiom_id, alpha, alpha, lw, 0)
+    print(f"  {axiom_id:18s} {cert.status:10s} "
+          f"window={cert.window_depth} witness={cert.witness_size()}")

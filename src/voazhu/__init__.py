@@ -21,9 +21,8 @@ from .zhu import (IdealWindow, MembershipCert, ZhuContext, certify,
                   certify_membership, circ_residue, lp_element, o_action,
                   omega0_basis, star_product, zhu_context)
 from .bimodule import (BimoduleContext, action_swap_defect, bimodule_context,
-                       certify_bimodule_membership, check_axiom,
-                       check_bimodule_axioms, circ_w, circ_wv,
-                       commutator_defect, deep_residue_element,
+                       certify_bimodule_membership, check_axiom, circ_w,
+                       circ_wv, commutator_defect, deep_residue_element,
                        intertwiner_ideal_context, left_star, right_star,
                        right_star_alt)
 from .intertwiner import (FockIntertwiner, LogIntertwiner, TableIntertwiner,

@@ -176,19 +176,3 @@ def check_axiom(module: GenModule, axiom_id: str, u, v, w, N: int,
     depth = max(axiom_window_depth(module, axiom_id, u, v, w, N, margin),
                 defect.max_depth())
     return certify(lambda d: bimodule_context(module, N, d), defect, depth, retries, cap)
-
-
-def check_bimodule_axioms(module: GenModule, u, v, w, N: int,
-                          margin: int = 2, retries=(2, 4)) -> list:
-    """Run every axiom on one sample; returns a list of report entries."""
-    report = []
-    for axiom_id in AXIOM_IDS:
-        cert, _ = check_axiom(module, axiom_id, u, v, w, N, margin, retries)
-        report.append({
-            "axiom_id": axiom_id,
-            "inputs": {"u": repr(u), "v": repr(v), "w": repr(w), "N": N},
-            "status": cert.status,
-            "window_D": cert.window_depth,
-            "witness_size": cert.witness_size(),
-        })
-    return report

@@ -101,9 +101,6 @@ class GenModule:
     def dim_at_depth(self, d: int) -> int:
         return len(partitions(d, self.min_part))
 
-    def weight_of(self, bv: BasisVector) -> Fraction:
-        return self.lowest_weight + bv.depth
-
     # --- generator action, linear extension --------------------------------
 
     def gen_action(self, tag: str, p: int, w) -> GradedVector:

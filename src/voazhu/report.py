@@ -5,6 +5,12 @@ byte-identical normalized reports: sample streams are seeded, entries are
 sorted by (module, check id, input hash), and timestamps are only added
 when normalization is switched off.  Individual check failures are
 recorded as entries; they never abort the suite.
+
+Each section evaluates a sample where it is drawn.  The streams draw with
+replacement, so a repeated draw is evaluated again and adds the same
+entries again; that is cheap, because each residue is memoized per pair of
+basis vectors on its module and every ideal window a check needs is
+already owned by its module.
 """
 
 from __future__ import annotations
@@ -83,19 +89,6 @@ def _hash_inputs(obj) -> str:
 class _Reporter:
     def __init__(self):
         self.entries = []
-        self._seen: dict = {}   # key -> the entries its evaluation added
-
-    def once(self, key, evaluate) -> None:
-        """Call ``evaluate()``, which adds entries, only the first time key
-        is seen; a repeated key adds copies of the entries it added then.
-        The sample streams draw with replacement, so a key repeats."""
-        done = self._seen.get(key)
-        if done is not None:
-            self.entries.extend(dict(e) for e in done)
-            return
-        start = len(self.entries)
-        evaluate()
-        self._seen[key] = self.entries[start:]
 
     def add(self, module: str, check_id: str, inputs, status: str, **extra):
         entry = {
@@ -149,27 +142,23 @@ def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
             inputs = {"algebra": alg.module_id, "module": module.module_id,
                       "u": vector_to_pairs(u), "m": m, "v": vector_to_pairs(v), "n": n,
                       "w": vector_to_pairs(w)}
-
-            def evaluate():
-                ok = commutator_check(module, u, m, v, n, w)
-                rep.add("voa-core", "commutator_formula", inputs, "pass" if ok else "fail")
-                one = alg.one()
-                vac_ok = (module.mode_action(one, -1, w) == w
-                          and all(module.mode_action(one, j, w).is_zero()
-                                  for j in (-3, -2, 0, 1, 2)))
-                rep.add("voa-core", "vacuum_mode", inputs, "pass" if vac_ok else "fail")
-                bound = module.mode_vanishing_bound(u, w)
-                trunc_ok = all(module.mode_action(u, n2, w).is_zero()
-                               for n2 in range(bound, bound + 4))
-                rep.add("voa-core", "lower_truncation", inputs, "pass" if trunc_ok else "fail")
-                out = module.mode_action(u, n, w)
-                wb_ok = True
-                if not out.is_zero():
-                    want = u.weight() - n - 1 + w.weight()
-                    wb_ok = out.is_homogeneous() and out.weight() == want
-                rep.add("voa-core", "weight_bookkeeping", inputs, "pass" if wb_ok else "fail")
-
-            rep.once(("mode_axioms", _hash_inputs(inputs)), evaluate)
+            ok = commutator_check(module, u, m, v, n, w)
+            rep.add("voa-core", "commutator_formula", inputs, "pass" if ok else "fail")
+            one = alg.one()
+            vac_ok = (module.mode_action(one, -1, w) == w
+                      and all(module.mode_action(one, j, w).is_zero()
+                              for j in (-3, -2, 0, 1, 2)))
+            rep.add("voa-core", "vacuum_mode", inputs, "pass" if vac_ok else "fail")
+            bound = module.mode_vanishing_bound(u, w)
+            trunc_ok = all(module.mode_action(u, n2, w).is_zero()
+                           for n2 in range(bound, bound + 4))
+            rep.add("voa-core", "lower_truncation", inputs, "pass" if trunc_ok else "fail")
+            out = module.mode_action(u, n, w)
+            wb_ok = True
+            if not out.is_zero():
+                want = u.weight() - n - 1 + w.weight()
+                wb_ok = out.is_homogeneous() and out.weight() == want
+            rep.add("voa-core", "weight_bookkeeping", inputs, "pass" if wb_ok else "fail")
 
 
 def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
@@ -182,30 +171,26 @@ def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
                 w = stream.monomial(alg, 2)
                 sample = {"algebra": alg.module_id, "N": N, "u": vector_to_pairs(u),
                           "v": vector_to_pairs(v), "w": vector_to_pairs(w)}
-
-                def evaluate():
-                    du = u.max_depth(); dv = v.max_depth(); dw = w.max_depth()
-                    checks = [
-                        ("unit_left", star_product(alg, alg.one(), u, N) - u, du + 2 * N + 4),
-                        ("unit_right", star_product(alg, u, alg.one(), N) - u, du + 2 * N + 4),
-                        ("centrality",
-                         star_product(alg, alg.omega(), u, N)
-                         - star_product(alg, u, alg.omega(), N),
-                         du + 2 + 2 * N + 4),
-                        ("associativity",
-                         star_product(alg, star_product(alg, u, v, N), w, N)
-                         - star_product(alg, u, star_product(alg, v, w, N), N),
-                         du + dv + dw + 2 * N + 4),
-                    ]
-                    for check_id, defect, depth in checks:
-                        depth = max(depth, defect.max_depth())
-                        cert, tried = certify(lambda d: zhu_context(alg, N, d), defect, depth,
-                                              config.retries, config.window_cap)
-                        rep.add("zhu-quotient", check_id, dict(sample, check=check_id),
-                                cert.status, windows_tried=tried,
-                                witness_size=cert.witness_size())
-
-                rep.once(("algebra_quotient", _hash_inputs(sample)), evaluate)
+                du = u.max_depth(); dv = v.max_depth(); dw = w.max_depth()
+                checks = [
+                    ("unit_left", star_product(alg, alg.one(), u, N) - u, du + 2 * N + 4),
+                    ("unit_right", star_product(alg, u, alg.one(), N) - u, du + 2 * N + 4),
+                    ("centrality",
+                     star_product(alg, alg.omega(), u, N)
+                     - star_product(alg, u, alg.omega(), N),
+                     du + 2 + 2 * N + 4),
+                    ("associativity",
+                     star_product(alg, star_product(alg, u, v, N), w, N)
+                     - star_product(alg, u, star_product(alg, v, w, N), N),
+                     du + dv + dw + 2 * N + 4),
+                ]
+                for check_id, defect, depth in checks:
+                    depth = max(depth, defect.max_depth())
+                    cert, tried = certify(lambda d: zhu_context(alg, N, d), defect, depth,
+                                          config.retries, config.window_cap)
+                    rep.add("zhu-quotient", check_id, dict(sample, check=check_id),
+                            cert.status, windows_tried=tried,
+                            witness_size=cert.witness_size())
 
 
 def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
@@ -221,21 +206,17 @@ def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
                     inputs = {"algebra": alg.module_id, "module": module.module_id,
                               "N": N, "u": vector_to_pairs(u), "v": vector_to_pairs(v),
                               "w": vector_to_pairs(w)}
-
-                    def evaluate():
-                        uv = star_product(alg, u, v, N)
-                        prod_ok = (o_action(module, uv, w)
-                                   == o_action(module, u, o_action(module, v, w)))
-                        rep.add("zhu-quotient", "zero_mode_product", inputs,
-                                "pass" if prod_ok else "fail")
-                        vu = star_product(alg, v, u, N)
-                        br_ok = (o_action(module, u, o_action(module, v, w))
-                                 - o_action(module, v, o_action(module, u, w))
-                                 == o_action(module, uv - vu, w))
-                        rep.add("zhu-quotient", "zero_mode_bracket", inputs,
-                                "pass" if br_ok else "fail")
-
-                    rep.once(("bottom_slice_action", _hash_inputs(inputs)), evaluate)
+                    uv = star_product(alg, u, v, N)
+                    prod_ok = (o_action(module, uv, w)
+                               == o_action(module, u, o_action(module, v, w)))
+                    rep.add("zhu-quotient", "zero_mode_product", inputs,
+                            "pass" if prod_ok else "fail")
+                    vu = star_product(alg, v, u, N)
+                    br_ok = (o_action(module, u, o_action(module, v, w))
+                             - o_action(module, v, o_action(module, u, w))
+                             == o_action(module, uv - vu, w))
+                    rep.add("zhu-quotient", "zero_mode_bracket", inputs,
+                            "pass" if br_ok else "fail")
 
 
 def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
@@ -250,17 +231,13 @@ def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
                     inputs_base = {"module": module.module_id, "N": N,
                                    "u": vector_to_pairs(u), "v": vector_to_pairs(v),
                                    "w": vector_to_pairs(w)}
-
-                    def evaluate():
-                        for axiom_id in AXIOM_IDS:
-                            cert, tried = check_axiom(module, axiom_id, u, v, w, N,
-                                                      config.window_margin, config.retries,
-                                                      config.window_cap)
-                            inputs = dict(inputs_base, axiom=axiom_id)
-                            rep.add("an-bimodule", axiom_id, inputs, cert.status,
-                                    windows_tried=tried, witness_size=cert.witness_size())
-
-                    rep.once(("bimodule_axioms", _hash_inputs(inputs_base)), evaluate)
+                    for axiom_id in AXIOM_IDS:
+                        cert, tried = check_axiom(module, axiom_id, u, v, w, N,
+                                                  config.window_margin, config.retries,
+                                                  config.window_cap)
+                        inputs = dict(inputs_base, axiom=axiom_id)
+                        rep.add("an-bimodule", axiom_id, inputs, cert.status,
+                                windows_tried=tried, witness_size=cert.witness_size())
 
 
 def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
@@ -281,33 +258,22 @@ def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
                 w2 = GradedVector(W2, {b2[k % len(b2)]: 1})
                 inputs = {"lam": lam_s, "mu": mu_s, "N": N, "u": vector_to_pairs(u),
                           "w1": vector_to_pairs(w1), "w2": vector_to_pairs(w2)}
-                key = ("induced_map", _hash_inputs(inputs))
-
-                def evaluate():
-                    out = induced_hom(it, N, w1, w2)
-                    rep.add("intertwiner-rho", "image_containment", inputs,
-                            "pass" if out.max_depth() <= N else "fail")
-                    gen = circ_w(W1, u, w1, N)
-                    ok = induced_hom(it, N, gen, w2).is_zero()
-                    rep.add("intertwiner-rho", "residue_family_vanishing", inputs,
-                            "pass" if ok else "fail")
-                    hom = check_hom_properties(it, N, u, w1, w2)
-                    rep.add("intertwiner-rho", "hom_left", inputs,
-                            "pass" if hom["left"] else "fail")
-                    rep.add("intertwiner-rho", "hom_right_alt", inputs,
-                            "pass" if hom["right"] else "fail")
-
-                rep.once(key, evaluate)
-                # the drawn mode index is not among the inputs, so it joins the key
+                out = induced_hom(it, N, w1, w2)
+                rep.add("intertwiner-rho", "image_containment", inputs,
+                        "pass" if out.max_depth() <= N else "fail")
+                gen = circ_w(W1, u, w1, N)
+                ok = induced_hom(it, N, gen, w2).is_zero()
+                rep.add("intertwiner-rho", "residue_family_vanishing", inputs,
+                        "pass" if ok else "fail")
+                hom = check_hom_properties(it, N, u, w1, w2)
+                rep.add("intertwiner-rho", "hom_left", inputs,
+                        "pass" if hom["left"] else "fail")
+                rep.add("intertwiner-rho", "hom_right_alt", inputs,
+                        "pass" if hom["right"] else "fail")
                 n_mode = (w1.weight() + w2.weight() - W3.lowest_weight
                           - 1 - stream.mode_index(0, 3))
-
-                def evaluate_derivative():
-                    ok = check_derivative_rule(it, w1, n_mode, 0, w2)
-                    rep.add("intertwiner-rho", "derivative_rule", inputs,
-                            "pass" if ok else "fail")
-
-                rep.once((*key, n_mode), evaluate_derivative)
+                ok = check_derivative_rule(it, w1, n_mode, 0, w2)
+                rep.add("intertwiner-rho", "derivative_rule", inputs, "pass" if ok else "fail")
 
 
 def run_fusion(config: SuiteConfig, rep: _Reporter) -> None:

@@ -26,7 +26,7 @@ def test_partitions_counts():
 def test_depth_and_weight(fock_half):
     bv = fock_half.basis_vector([("a", -3), ("a", -1)])
     assert bv.depth == 4
-    assert fock_half.weight_of(bv) == Fraction(1, 8) + 4
+    assert fock_half.monomial([("a", -3), ("a", -1)]).weight() == Fraction(1, 8) + 4
 
 
 @pytest.mark.parametrize("make", [

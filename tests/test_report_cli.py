@@ -174,6 +174,8 @@ GOLDEN_STDOUT = {
                           "df419d94ba15b93274fd9222672453de4ca692aaa2f5272b2ed74bedfcc22822"),
     "reduce": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "1"],
                "e083513893bc1682d1bc6abe2ea7e719b5648b5d2e688bace3d29b0fdd5fdefe"),
+    "axioms": (["axioms", "--seed", "42", "--n", "0,1"],
+               "c2aa37a29b00b42a5e425546e6acaff8fe4ebbfad8cc3f553b32fcf6d256424f"),
 }
 
 
@@ -312,32 +314,3 @@ def test_cli_reduce_refuses_deep_default_window(tmp_path, src_env, monomial, dep
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert f"default window depth {depth}" in proc.stderr and "--depth" in proc.stderr
-
-
-def test_a_repeated_sample_is_evaluated_once(monkeypatch):
-    """The streams draw with replacement; a repeat copies the entries of the
-    first evaluation, so the report is the same and the work is not."""
-    from voazhu import report
-    calls = {}
-    for name in ("commutator_check", "certify", "check_axiom", "check_hom_properties"):
-        def counted(*args, _f=getattr(report, name), _name=name, **kw):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _f(*args, **kw)
-        monkeypatch.setattr(report, name, counted)
-    config = SuiteConfig(**{**QUICK.__dict__, "mode_samples": 16, "quotient_samples": 6,
-                            "bimodule_samples": 4, "rho_samples": 6, "max_depth": 1})
-    entries = run_suite(config)["entries"]
-
-    def drawn(module, check_id):
-        hashes = [e["input_hash"] for e in entries
-                  if (e["module"], e["check_id"]) == (module, check_id)]
-        assert len(set(hashes)) < len(hashes), (module, check_id)   # a repeat
-        return len(set(hashes))
-
-    assert calls["commutator_check"] == drawn("voa-core", "commutator_formula")
-    assert calls["certify"] == 4 * drawn("zhu-quotient", "unit_left")
-    assert calls["check_axiom"] == len(report.AXIOM_IDS) * drawn("an-bimodule", "lw_left")
-    assert calls["check_hom_properties"] == drawn("intertwiner-rho", "hom_left")
-    deduplicated = report_json(run_suite(config))
-    monkeypatch.setattr(report._Reporter, "once", lambda self, key, evaluate: evaluate())
-    assert report_json(run_suite(config)) == deduplicated
