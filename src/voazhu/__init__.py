@@ -14,8 +14,7 @@ from .basis import BasisVector, GradedVector
 from .modules import GenModule, VOAlgebra, basis_window, partitions
 from .heisenberg import FockModule, HeisenbergVOA
 from .virasoro import VermaModule, VirasoroVOA
-from .ops import (commutator_check, contragredient_pairing_check, DualVector,
-                  l0s_conjugation_check, opposite_mode, ywv_mode)
+from .ops import commutator_check, ywv_mode
 from .linalg import ModuleWindow, SparseEchelon, WindowSubspace
 from .zhu import (IdealWindow, MembershipCert, ZhuContext, certify,
                   certify_membership, circ_residue, lp_element, o_action,

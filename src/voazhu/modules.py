@@ -155,20 +155,21 @@ class GenModule:
         return f"<{type(self).__name__} {self.module_id}>"
 
 
-def bilinear(out: GenModule, u: GradedVector, w: GradedVector, entry) -> GradedVector:
-    """The sum of cu cw entry(u_bv, w_bv) over the terms cu u_bv of u and
-    cw w_bv of w, a vector of ``out``: the package's one loop over pairs of
-    basis vectors.  For single basis vectors with coefficient 1 it is the
+def bilinear(out: GenModule, u: GradedVector, w: GradedVector, entry,
+             *args) -> GradedVector:
+    """The sum of cu cw entry(u_bv, *args, w_bv) over the terms cu u_bv of u
+    and cw w_bv of w, a vector of ``out``: the package's one loop over pairs
+    of basis vectors.  For single basis vectors with coefficient 1 it is the
     entry itself, not a copy, so callers must not edit what it returns."""
     if len(u.terms) == len(w.terms) == 1:
         (u_bv, cu), = u.terms.items()
         (w_bv, cw), = w.terms.items()
         if cu == cw == 1:
-            return entry(u_bv, w_bv)
+            return entry(u_bv, *args, w_bv)
     acc: dict = {}
     for u_bv, cu in u.terms.items():
         for w_bv, cw in w.terms.items():
-            accumulate(acc, entry(u_bv, w_bv), cu * cw)
+            accumulate(acc, entry(u_bv, *args, w_bv), cu * cw)
     return GradedVector._of(out, acc)
 
 
@@ -205,7 +206,7 @@ class ModeTable:
         that ``zhu.residue`` asks for, this is the memo entry itself, not a
         copy."""
         n = int(n) if n.denominator == 1 else n
-        return bilinear(self.out, u, w, lambda u_bv, w_bv: self.basis(u_bv, n, w_bv))
+        return bilinear(self.out, u, w, self.basis, n)
 
     def basis(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
         key = (u_bv, n, w_bv)

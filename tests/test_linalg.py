@@ -352,3 +352,17 @@ def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
     rem, combo = ech.reduce({0: Fraction(1), 1: Fraction(1, 3)})
     assert not rem and _rebuild([{0: 1}, {0: 4}, {0: 1, 1: Fraction(1, 3)}], combo) == \
         {0: 1, 1: Fraction(1, 3)}
+
+
+def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
+    """As many rows mod P as exact rows does not mean the pivots agree: a
+    fast path that reduces mod P in place of the exact remainder needs the
+    two pivot sets to be equal, not only their sizes."""
+    monkeypatch.setattr(linalg, "P", 3)
+    ech = SparseEchelon()
+    assert ech.insert_rational({0: Fraction(1), 1: Fraction(3)})
+    assert ech.rank == len(ech.rows_p) == 1
+    assert set(ech.pivots) == {1} and set(ech.rows_p) == {0}
+    # e_0 is its own exact remainder, but reduces to zero mod 3
+    assert ech.remainder({0: Fraction(1)}) == {0: 1}
+    assert not ech._reduce_p(linalg._mod_p({0: Fraction(1)}))
