@@ -158,9 +158,6 @@ class GradedVector:
             return not self.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.module.module_id, tuple(sorted(self.terms.items(), key=lambda t: sort_key(t[0])))))
-
     def __repr__(self):
         if not self.terms:
             return "0"

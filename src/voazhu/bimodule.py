@@ -169,10 +169,8 @@ def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int,
     return base + extra + margin
 
 
-def check_axiom(module: GenModule, axiom_id: str, u, v, w, N: int,
-                margin: int = 2, retries=(2, 4), cap=None):
+def check_axiom(module: GenModule, axiom_id: str, u, v, w, N: int, cap=None):
     """Certify one axiom on one sample; returns ``certify``'s (cert, depths tried)."""
     defect = axiom_defect(module, axiom_id, u, v, w, N)
-    depth = max(axiom_window_depth(module, axiom_id, u, v, w, N, margin),
-                defect.max_depth())
-    return certify(lambda d: bimodule_context(module, N, d), defect, depth, retries, cap)
+    depth = max(axiom_window_depth(module, axiom_id, u, v, w, N), defect.max_depth())
+    return certify(lambda d: bimodule_context(module, N, d), defect, depth, cap=cap)

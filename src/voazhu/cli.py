@@ -84,8 +84,8 @@ def _read_element(path: str) -> list:
     return pairs
 
 
-def _emit(payload, args, flatten_rows=None):
-    if getattr(args, "csv", False) and flatten_rows is not None:
+def _emit(payload, args, flatten_rows):
+    if args.csv:
         buf = io.StringIO()
         rows = flatten_rows(payload)
         if rows:
@@ -95,7 +95,7 @@ def _emit(payload, args, flatten_rows=None):
         text = buf.getvalue()
     else:
         text = report_json(payload) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -146,9 +146,7 @@ def cmd_zhu_table(args):
 
 
 def cmd_axioms(args):
-    config = SuiteConfig(seed=args.seed, n_values=args.n,
-                         normalize=not args.timestamp)
-    report = run_suite(config)
+    report = run_suite(SuiteConfig(args.seed, args.n, normalize=not args.timestamp))
     def flat(p):
         return [{"module": e["module"], "check_id": e["check_id"],
                  "input_hash": e["input_hash"], "status": e["status"],
@@ -228,50 +226,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="voazhu",
         description="Exact level-N Zhu algebra and intertwining-operator checks")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out")
+    output.add_argument("--csv", action="store_true")
 
-    p = sub.add_parser("verify-identities", help="run the binomial identity families")
+    p = sub.add_parser("verify-identities", parents=[output],
+                       help="run the binomial identity families")
     p.add_argument("--max-n", type=_nonneg_int, default=20)
     p.add_argument("--max-alt-n", type=_nonneg_int, default=50)
     p.add_argument("--max-bivariate-n", type=_nonneg_int, default=10)
-    p.add_argument("--out")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_verify_identities)
 
-    p = sub.add_parser("zhu-table", help="windowed quotient table for an algebra")
+    p = sub.add_parser("zhu-table", parents=[output],
+                       help="windowed quotient table for an algebra")
     p.add_argument("--algebra", required=True, type=_algebra)
     p.add_argument("--n", type=_nonneg_int, default=0)
     p.add_argument("--depth", type=_nonneg_int, default=8)
-    p.add_argument("--out")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_zhu_table)
 
-    p = sub.add_parser("axioms", help="run the seeded check suite")
+    p = sub.add_parser("axioms", parents=[output], help="run the seeded check suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n", type=_int_list, default=(0, 1),
                    help="comma separated level values")
     p.add_argument("--timestamp", action="store_true",
                    help="include a timestamp (breaks byte reproducibility)")
-    p.add_argument("--out")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("fusion", help="fusion dimension upper bounds")
+    p = sub.add_parser("fusion", parents=[output], help="fusion dimension upper bounds")
     p.add_argument("--w1", required=True, type=_module)
     p.add_argument("--w2", required=True, type=_module)
     p.add_argument("--w3", required=True, type=_module)
     p.add_argument("--n", type=_nonneg_int, default=0)
     p.add_argument("--window", type=_int_list, default=(6, 8))
-    p.add_argument("--out")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_fusion)
 
-    p = sub.add_parser("reduce", help="canonical representative mod the ideal window")
+    p = sub.add_parser("reduce", parents=[output],
+                       help="canonical representative mod the ideal window")
     p.add_argument("element_file")
     p.add_argument("--algebra", required=True, type=_algebra)
     p.add_argument("--n", type=_nonneg_int, default=0)
     p.add_argument("--depth", type=_nonneg_int, default=None)
-    p.add_argument("--out")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_reduce)
     return parser
 

@@ -88,12 +88,14 @@ class FockIntertwiner(LogIntertwiner):
     caches and ideal windows.
     """
 
-    def __init__(self, algebra: HeisenbergVOA, lam, mu, depth_max: int = 48):
+    DEPTH_MAX = 48  # the table refuses a mode of deeper output
+
+    def __init__(self, algebra: HeisenbergVOA, lam, mu):
         if algebra is not heisenberg_voa():
             raise ValueError("FockIntertwiner needs the shared heisenberg_voa() algebra")
         self.lam, self.mu = Fraction(as_scalar(lam)), Fraction(as_scalar(mu))
         table = ModeTable(fock(self.lam), fock(self.mu), fock(self.lam + self.mu), self._bottom)
-        table.depth_max = depth_max
+        table.depth_max = self.DEPTH_MAX
         super().__init__(table.first, table.src, table.out, [table])
 
     def _bottom(self, n, w2_bv: BasisVector, d_out: int) -> GradedVector:

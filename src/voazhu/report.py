@@ -1,5 +1,8 @@
-"""Batch verification driver: runs every check family and emits a report.
+"""Batch verification driver: runs the fixed check suite and emits a report.
 
+The suite's modules (``_suite``), samples, depths and window cap are fixed
+below; a run sets only the three ``SuiteConfig`` fields (the seed, the
+levels N and ``normalize``), which the report's ``config`` block records.
 A report is a plain JSON-serializable dictionary.  Identical configs give
 byte-identical normalized reports: sample streams are seeded, entries are
 sorted by (module, check id, input hash), and timestamps are only added
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -57,27 +61,20 @@ CHECK_DESCRIPTIONS = {
 }
 
 
+# (lam, mu) of the induced-map and fusion sections; the strings feed the input hashes
+FOCK_PAIRS = (("1", "2"), ("1/2", "1/2"), ("0", "3"))
+# samples drawn per section, and the depth bound of a drawn monomial
+MODE_SAMPLES, QUOTIENT_SAMPLES, BIMODULE_SAMPLES, RHO_SAMPLES = 40, 6, 4, 8
+MAX_DEPTH, BIMODULE_MAX_DEPTH = 3, 2
+# the last N of the telescoping, alternating and bivariate identity families
+IDENTITY_MAX_N, ALT_SUM_MAX_N, BIVARIATE_MAX_N = 12, 20, 6
+WINDOW_CAP = 18  # the deepest ideal window a certification may ask for
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
     n_values: tuple = (0, 1)
-    heisenberg_momenta: tuple = ("1", "1/2")
-    virasoro_charges: tuple = ("1/2",)
-    verma_params: tuple = (("1/2", "1/16"),)
-    fock_pairs: tuple = (("1", "2"), ("1/2", "1/2"), ("0", "3"))
-    mode_samples: int = 40
-    quotient_samples: int = 6
-    bimodule_samples: int = 4
-    rho_samples: int = 8
-    max_depth: int = 3
-    bimodule_max_depth: int = 2
-    identity_max_n: int = 12
-    alt_sum_max_n: int = 20
-    bivariate_max_n: int = 6
-    fusion_windows: tuple = (6, 8)
-    window_margin: int = 2
-    window_cap: int = 18
-    retries: tuple = (2, 4)
     normalize: bool = True
 
 
@@ -107,36 +104,27 @@ class _Reporter:
                       key=lambda e: (e["module"], e["check_id"], e["input_hash"]))
 
 
-def _algebras(config: SuiteConfig):
-    algebras = [heisenberg_voa()]
-    for c in config.virasoro_charges:
-        algebras.append(virasoro_voa(Fraction(c)))
-    return algebras
+def _suite() -> tuple:
+    """The suite's algebras, each with its modules (itself excluded), in draw order."""
+    return ((heisenberg_voa(), (fock("1"), fock("1/2"))),
+            (virasoro_voa("1/2"), (verma("1/2", "1/16"),)))
 
 
-def _modules_over(alg, config: SuiteConfig) -> list:
-    """The suite's modules over the algebra alg, alg itself excluded."""
-    if alg is heisenberg_voa():
-        return [fock(Fraction(m)) for m in config.heisenberg_momenta]
-    return [verma(alg.central_charge, Fraction(h)) for c, h in config.verma_params
-            if Fraction(c) == alg.central_charge]
-
-
-def run_identities(config: SuiteConfig, rep: _Reporter) -> None:
+def run_identities(rep: _Reporter) -> None:
     for family, n, ok, extra in check_identity_families(
-            config.identity_max_n, config.alt_sum_max_n, config.bivariate_max_n):
+            IDENTITY_MAX_N, ALT_SUM_MAX_N, BIVARIATE_MAX_N):
         rep.add("exact-formal", family, {"N": n}, "pass" if ok else "fail", **extra)
 
 
 def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed)
-    for alg in _algebras(config):
-        mods = [alg] + _modules_over(alg, config)
-        for k in range(config.mode_samples):
+    for alg, modules in _suite():
+        mods = [alg, *modules]
+        for k in range(MODE_SAMPLES):
             module = mods[k % len(mods)]
-            u = stream.monomial(alg, config.max_depth)
-            v = stream.monomial(alg, config.max_depth)
-            w = stream.monomial(module, config.max_depth)
+            u = stream.monomial(alg, MAX_DEPTH)
+            v = stream.monomial(alg, MAX_DEPTH)
+            w = stream.monomial(module, MAX_DEPTH)
             m = stream.mode_index(-3, 3)
             n = stream.mode_index(-3, 3)
             inputs = {"algebra": alg.module_id, "module": module.module_id,
@@ -163,11 +151,11 @@ def run_mode_axioms(config: SuiteConfig, rep: _Reporter) -> None:
 
 def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 1)
-    for alg in _algebras(config):
+    for alg, _ in _suite():
         for N in config.n_values:
-            for _ in range(config.quotient_samples):
-                u = stream.monomial(alg, config.max_depth)
-                v = stream.monomial(alg, config.max_depth)
+            for _ in range(QUOTIENT_SAMPLES):
+                u = stream.monomial(alg, MAX_DEPTH)
+                v = stream.monomial(alg, MAX_DEPTH)
                 w = stream.monomial(alg, 2)
                 sample = {"algebra": alg.module_id, "N": N, "u": vector_to_pairs(u),
                           "v": vector_to_pairs(v), "w": vector_to_pairs(w)}
@@ -187,7 +175,7 @@ def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
                 for check_id, defect, depth in checks:
                     depth = max(depth, defect.max_depth())
                     cert, tried = certify(lambda d: zhu_context(alg, N, d), defect, depth,
-                                          config.retries, config.window_cap)
+                                          cap=WINDOW_CAP)
                     rep.add("zhu-quotient", check_id, dict(sample, check=check_id),
                             cert.status, windows_tried=tried,
                             witness_size=cert.witness_size())
@@ -195,13 +183,13 @@ def run_algebra_quotient(config: SuiteConfig, rep: _Reporter) -> None:
 
 def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 2)
-    for alg in _algebras(config):
-        for module in _modules_over(alg, config):
+    for alg, modules in _suite():
+        for module in modules:
             for N in config.n_values:
                 basis = omega0_basis(module, N)
-                for k in range(config.quotient_samples):
-                    u = stream.monomial(alg, config.max_depth)
-                    v = stream.monomial(alg, config.max_depth)
+                for k in range(QUOTIENT_SAMPLES):
+                    u = stream.monomial(alg, MAX_DEPTH)
+                    v = stream.monomial(alg, MAX_DEPTH)
                     w = GradedVector(module, {basis[k % len(basis)]: 1})
                     inputs = {"algebra": alg.module_id, "module": module.module_id,
                               "N": N, "u": vector_to_pairs(u), "v": vector_to_pairs(v),
@@ -221,20 +209,19 @@ def run_bottom_slice_action(config: SuiteConfig, rep: _Reporter) -> None:
 
 def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 3)
-    for alg in _algebras(config):
-        for module in _modules_over(alg, config):
+    for alg, modules in _suite():
+        for module in modules:
             for N in config.n_values:
-                for _ in range(config.bimodule_samples):
-                    u = stream.monomial(alg, config.bimodule_max_depth)
-                    v = stream.monomial(alg, config.bimodule_max_depth)
-                    w = stream.monomial(module, config.bimodule_max_depth)
+                for _ in range(BIMODULE_SAMPLES):
+                    u = stream.monomial(alg, BIMODULE_MAX_DEPTH)
+                    v = stream.monomial(alg, BIMODULE_MAX_DEPTH)
+                    w = stream.monomial(module, BIMODULE_MAX_DEPTH)
                     inputs_base = {"module": module.module_id, "N": N,
                                    "u": vector_to_pairs(u), "v": vector_to_pairs(v),
                                    "w": vector_to_pairs(w)}
                     for axiom_id in AXIOM_IDS:
                         cert, tried = check_axiom(module, axiom_id, u, v, w, N,
-                                                  config.window_margin, config.retries,
-                                                  config.window_cap)
+                                                  cap=WINDOW_CAP)
                         inputs = dict(inputs_base, axiom=axiom_id)
                         rep.add("an-bimodule", axiom_id, inputs, cert.status,
                                 windows_tried=tried, witness_size=cert.witness_size())
@@ -243,7 +230,7 @@ def run_bimodule_axioms(config: SuiteConfig, rep: _Reporter) -> None:
 def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
     stream = SampleStream(config.seed + 4)
     V = heisenberg_voa()
-    for lam_s, mu_s in config.fock_pairs:
+    for lam_s, mu_s in FOCK_PAIRS:
         lam, mu = Fraction(lam_s), Fraction(mu_s)
         it = FockIntertwiner(V, lam, mu)
         W1, W2, W3 = it.w1_module, it.w2_module, it.w3_module
@@ -252,9 +239,9 @@ def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
                 {"lam": lam_s, "mu": mu_s}, "pass" if not smoke.is_zero() else "fail")
         for N in config.n_values:
             b2 = omega0_basis(W2, N)
-            for k in range(config.rho_samples):
-                u = stream.monomial(V, config.max_depth)
-                w1 = stream.monomial(W1, config.max_depth)
+            for k in range(RHO_SAMPLES):
+                u = stream.monomial(V, MAX_DEPTH)
+                w1 = stream.monomial(W1, MAX_DEPTH)
                 w2 = GradedVector(W2, {b2[k % len(b2)]: 1})
                 inputs = {"lam": lam_s, "mu": mu_s, "N": N, "u": vector_to_pairs(u),
                           "w1": vector_to_pairs(w1), "w2": vector_to_pairs(w2)}
@@ -276,16 +263,15 @@ def run_induced_map(config: SuiteConfig, rep: _Reporter) -> None:
                 rep.add("intertwiner-rho", "derivative_rule", inputs, "pass" if ok else "fail")
 
 
-def run_fusion(config: SuiteConfig, rep: _Reporter) -> None:
+def run_fusion(rep: _Reporter) -> None:
     V = heisenberg_voa()
-    for lam_s, mu_s in config.fock_pairs:
+    for lam_s, mu_s in FOCK_PAIRS:
         lam, mu = Fraction(lam_s), Fraction(mu_s)
         if lam == 0:
             continue  # degenerate pair exercised by the induced-map section
         for delta in (0, 1, -1):
             nu = lam + mu + delta
-            result = fusion_report(V, fock(lam), fock(mu), fock(nu), 0,
-                                   windows=config.fusion_windows)
+            result = fusion_report(V, fock(lam), fock(mu), fock(nu), 0)
             expected = 1 if delta == 0 else 0
             status = "pass" if (result["fusion_dim_upper"] == expected
                                 and result["stabilized"]) else "fail"
@@ -297,17 +283,15 @@ def run_fusion(config: SuiteConfig, rep: _Reporter) -> None:
 
 def run_suite(config: SuiteConfig) -> dict:
     rep = _Reporter()
-    run_identities(config, rep)
+    run_identities(rep)
     run_mode_axioms(config, rep)
     run_algebra_quotient(config, rep)
     run_bottom_slice_action(config, rep)
     run_bimodule_axioms(config, rep)
     run_induced_map(config, rep)
-    run_fusion(config, rep)
+    run_fusion(rep)
     entries = rep.sorted_entries()
-    counts: dict = {}
-    for e in entries:
-        counts[e["status"]] = counts.get(e["status"], 0) + 1
+    counts = dict(Counter(e["status"] for e in entries))
     report = {
         "tool": {"name": "voazhu", "version": __version__},
         "config": asdict(config),

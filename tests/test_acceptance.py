@@ -283,12 +283,7 @@ def test_criterion_7_fusion_isomorphism_instance():
 
 def test_criterion_8_report_determinism():
     """Two runs with one seed give byte-identical normalized reports."""
-    config = SuiteConfig(seed=1234, n_values=(0,), mode_samples=8,
-                         quotient_samples=2, bimodule_samples=1, rho_samples=3,
-                         identity_max_n=5, alt_sum_max_n=8, bivariate_max_n=3,
-                         fusion_windows=(4, 5), heisenberg_momenta=("1",),
-                         verma_params=(("1/2", "1/16"),),
-                         fock_pairs=(("1", "2"),), bimodule_max_depth=1)
+    config = SuiteConfig(seed=1234, n_values=(0,))
     first = report_json(run_suite(config))
     second = report_json(run_suite(config))
     assert first == second

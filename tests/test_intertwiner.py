@@ -235,7 +235,8 @@ def test_algebra_outside_the_registry_rejected():
 
 
 def test_depth_guard():
-    it = FockIntertwiner(heisenberg_voa(), 1, 2, depth_max=3)
+    it = FockIntertwiner(heisenberg_voa(), 1, 2)
+    it.tables[0].depth_max = 3
     with pytest.raises(DepthExceededError):
         it.mode(it.w1_module.lw(), -Fraction(2) - 1 - 6, 0, it.w2_module.lw())
     # a composite first argument a(-1)|lam> meets the same bound (output depth 7)

@@ -9,17 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from voazhu import report
 from voazhu.cli import main
 from voazhu.linalg import SparseEchelon
 from voazhu.report import SuiteConfig, report_json, run_suite
 from voazhu.serialize import (monomial_str, pairs_to_vector, parse_module_spec,
                               parse_monomial, scalar_str, vector_to_pairs)
 
-QUICK = SuiteConfig(seed=11, n_values=(0,), mode_samples=6, quotient_samples=2,
-                    bimodule_samples=1, rho_samples=2, identity_max_n=4,
-                    alt_sum_max_n=6, bivariate_max_n=2, fusion_windows=(4, 5),
-                    heisenberg_momenta=("1",), verma_params=(),
-                    fock_pairs=(("1", "2"),), bimodule_max_depth=1)
+QUICK = SuiteConfig(seed=11, n_values=(0,))
 
 
 @pytest.fixture(scope="module")
@@ -51,18 +48,17 @@ def test_entries_carry_identity_and_hash(quick_report):
         assert len(e["input_hash"]) == 16
 
 
-def test_timestamp_only_when_unnormalized():
-    rep = run_suite(QUICK)
-    assert "timestamp" not in rep
+def test_timestamp_only_when_unnormalized(quick_report):
+    assert "timestamp" not in quick_report
     noisy = run_suite(SuiteConfig(**{**QUICK.__dict__, "normalize": False}))
     assert "timestamp" in noisy
 
 
-def test_window_cap_too_small_reports_inconclusive_with_trail():
+def test_window_cap_too_small_reports_inconclusive_with_trail(monkeypatch):
     """A starved window cap degrades to Inconclusive entries that carry
     their retry trail; the suite never aborts."""
-    starved = SuiteConfig(**{**QUICK.__dict__, "window_cap": 2})
-    rep = run_suite(starved)
+    monkeypatch.setattr(report, "WINDOW_CAP", 2)
+    rep = run_suite(QUICK)
     stuck = [e for e in rep["entries"] if e["status"] == "inconclusive"]
     assert stuck, "expected some inconclusive results under a tiny window cap"
     for e in stuck:
@@ -175,7 +171,7 @@ GOLDEN_STDOUT = {
     "reduce": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "1"],
                "e083513893bc1682d1bc6abe2ea7e719b5648b5d2e688bace3d29b0fdd5fdefe"),
     "axioms": (["axioms", "--seed", "42", "--n", "0,1"],
-               "c2aa37a29b00b42a5e425546e6acaff8fe4ebbfad8cc3f553b32fcf6d256424f"),
+               "776fcc667814a308f6e7d1e898c10f176d1744c7c8855e406d26ead867bd0cf3"),
 }
 
 
