@@ -16,7 +16,7 @@ alpha, omega, one = V.alpha(), V.omega(), V.one()
 
 ctx = zhu_context(V, 0, 6)
 print("Heisenberg, N=0, window depth 6:")
-print("  window dims       ", ctx.window.dims_by_depth())
+print("  window dims       ", ctx.subspace.dims_by_depth())
 print("  quotient bounds   ", ctx.quotient_dims())
 print("  ideal generators  ", len(ctx.subspace.gens), "-> rank", ctx.subspace.rank)
 

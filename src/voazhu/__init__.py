@@ -15,15 +15,14 @@ from .modules import GenModule, VOAlgebra, basis_window, partitions
 from .heisenberg import FockModule, HeisenbergVOA
 from .virasoro import VermaModule, VirasoroVOA
 from .ops import commutator_check, ywv_mode
-from .linalg import ModuleWindow, SparseEchelon, WindowSubspace
+from .linalg import SparseEchelon, WindowSubspace
 from .zhu import (IdealWindow, MembershipCert, ZhuContext, certify,
                   certify_membership, circ_residue, lp_element, o_action,
                   omega0_basis, star_product, zhu_context)
 from .bimodule import (BimoduleContext, action_swap_defect, bimodule_context,
                        certify_bimodule_membership, check_axiom, circ_w,
-                       circ_wv, commutator_defect, deep_residue_element,
-                       intertwiner_ideal_context, left_star, right_star,
-                       right_star_alt)
+                       circ_wv, commutator_defect, intertwiner_ideal_context,
+                       left_star, right_star, right_star_alt)
 from .intertwiner import (FockIntertwiner, LogIntertwiner, TableIntertwiner,
                           check_derivative_rule, check_hom_properties,
                           fusion_dim, fusion_report, induced_hom, y0_part)

@@ -75,26 +75,14 @@ def certify_bimodule_membership(module: GenModule, N: int, x: GradedVector,
 # --- assembled congruence checks ---------------------------------------------
 
 def action_swap_defect(module: GenModule, u: GradedVector, w: GradedVector,
-                       N: int, mirrored: bool = False) -> GradedVector:
-    """Left action minus its rewriting through the other operator family.
+                       N: int) -> GradedVector:
+    """Left action minus its rewriting through the module-to-algebra operator,
 
-    Plain:      u *_N w - sum_m C(m+N,N)(-1)^N Res_x x^(-N-m-1)
-                          Y_WV((1+x)^(L(0)_s+m-1) w, x) u
-    Mirrored:   w *_N u - w *_N' u.
-    Both lie in O_N(W).
+        u *_N w - sum_m C(m+N,N)(-1)^N Res_x x^(-N-m-1) Y_WV((1+x)^(L(0)_s+m-1) w, x) u,
+
+    a member of O_N(W).  Its mirror is the "right_agreement" axiom's defect.
     """
-    if mirrored:
-        return right_star(module, w, u, N) - right_star_alt(module, w, u, N)
     return left_star(module, u, w, N) - residue(module, w, u, star_alt_terms(N), ywv_mode)
-
-
-def deep_residue_element(module: GenModule, u: GradedVector, w: GradedVector,
-                         N: int, p: int = 0, q: int = 0,
-                         mirrored: bool = False) -> GradedVector:
-    """Res_x x^(-2N-2-p) of either operator family; a member of O_N(W)."""
-    if mirrored:
-        return circ_wv(module, w, u, N, p=p, q=q)
-    return circ_w(module, u, w, N, p=p, q=q)
 
 
 def commutator_defect(module: GenModule, u: GradedVector, w: GradedVector,
@@ -152,7 +140,7 @@ def axiom_defect(module: GenModule, axiom_id: str, u: GradedVector,
         return (right_star(module, left_star(module, u, w, N), v, N)
                 - left_star(module, u, right_star(module, w, v, N), N))
     if axiom_id == "right_agreement":
-        return action_swap_defect(module, u, w, N, mirrored=True)
+        return right_star(module, w, u, N) - right_star_alt(module, w, u, N)
     raise ValueError(f"unknown axiom id {axiom_id!r}")
 
 

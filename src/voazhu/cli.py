@@ -115,7 +115,7 @@ def cmd_verify_identities(args):
 def cmd_zhu_table(args):
     algebra = args.algebra
     ctx = zhu_context(algebra, args.n, args.depth)
-    window_dims = ctx.window.dims_by_depth()
+    window_dims = ctx.subspace.dims_by_depth()
     quotient = ctx.quotient_dims()
     certs = []
     for d in range(min(args.depth, 3)):

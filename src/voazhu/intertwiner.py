@@ -228,10 +228,8 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
     grows, and agreement across two successive windows is the reported
     confidence signal.
     """
-    ctx = intertwiner_ideal_context(W1, N, window)
-    sub = ctx.subspace
-    pivot_cols = set(sub.ech.pivots)
-    q_cols = [i for i in range(len(ctx.window.basis)) if i not in pivot_cols]
+    sub = intertwiner_ideal_context(W1, N, window).subspace
+    q_cols = sub.cosets()
     col_pos = {c: qi for qi, c in enumerate(q_cols)}
     b2 = omega0_basis(W2, N)
     b3 = omega0_basis(W3, N)
@@ -243,8 +241,7 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         return (qi * n2 + b2i) * n3 + b3i
 
     def reduce_to_q(vec: GradedVector) -> dict:
-        rem = sub.ech.remainder(ctx.window.row_of(vec))
-        return {col_pos[c]: v for c, v in rem.items()}
+        return {col_pos[c]: v for c, v in sub.coordinates(vec).items()}
 
     def o_matrix(W: GenModule, u: GradedVector, basis: list) -> list:
         """Column i -> the coordinates over basis of o(u) basis[i]."""
@@ -270,8 +267,8 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
             u = GradedVector(algebra, {u_bv: 1})
             m3, m2 = o_matrix(W3, u, b3), o_matrix(W2, u, b2)
             for qi, col in enumerate(q_cols):
-                qvec = GradedVector(W1, {ctx.window.basis[col]: 1})
-                if a + ctx.window.basis[col].depth + 2 * N > window:
+                qvec = GradedVector(W1, {sub.basis[col]: 1})
+                if a + sub.basis[col].depth + 2 * N > window:
                     continue  # the products would leave the window
                 lv = reduce_to_q(left_star(W1, u, qvec, N))
                 rv = reduce_to_q(right_star_alt(W1, qvec, u, N))

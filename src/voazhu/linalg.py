@@ -10,11 +10,11 @@ needs only the canonical representative asks for
 ``SparseEchelon.remainder``: the same elimination, carrying only the
 reduced row's scale instead of the stored rows' combos.
 
-The exact form is a plain echelon form, not a reduced one: an insert only
-appends a row and its combo, and never touches a stored one.  Copying the
-lists is therefore enough to fork an echelon form, and the fork and the
-original share every row they have in common (``SparseEchelon.copy``,
-growing a ``WindowSubspace``).
+The exact form is a plain echelon form, not a reduced one, keyed by pivot
+column: an insert only adds a row and its combo under a new pivot, and
+never touches a stored one.  Copying the map is therefore enough to fork an
+echelon form, and the fork and the original share every row they have in
+common (``SparseEchelon.copy``, growing a ``WindowSubspace``).
 
 Most rows offered to an ideal window add no rank, so ``insert_rational``
 first reduces a row modulo the prime ``P`` against a second echelon form,
@@ -30,6 +30,9 @@ combos it would keep without the filter, and witnesses do not change.  For
 an unlucky prime a rank-adding row may be dropped; the window then shrinks,
 which only raises the quotient and fusion bounds, and every Certified
 answer is still re-multiplied by its caller.
+
+A module window is one object, ``WindowSubspace``: its basis, generators
+and echelon form; the non-pivot columns are the coset representatives.
 """
 
 from __future__ import annotations
@@ -109,8 +112,9 @@ class SparseEchelon:
 
     Each row's pivot is its highest column, which makes the *low* columns
     the surviving coset representatives when the form is used to quotient a
-    graded window by a span.  Each stored row carries the integer
-    combination of the input rows, as supplied, that it equals.
+    graded window by a span.  ``rows`` maps a pivot column to its stored
+    integer row and the integer combination of the input rows, as
+    supplied, that the row equals.
 
     ``rows_p`` maps a pivot column to a row mod P, fully reduced: monic at
     its pivot and zero at every other pivot column.  These rows span the
@@ -120,11 +124,9 @@ class SparseEchelon:
     """
 
     def __init__(self):
-        # integer rows with distinct pivots, not primitive: the gcd is
-        # stripped from a row and its combo together
-        self.rows: list[dict] = []
-        self.combos: list[dict] = []    # parallel integer combo rows (input index -> coeff)
-        self.pivots: dict[int, int] = {}  # pivot column -> row index
+        # pivot column -> (row, combo over input indices); not primitive:
+        # the gcd is stripped from a row and its combo together
+        self.rows: dict[int, tuple[dict, dict]] = {}
         self.rows_p: dict[int, dict] = {}  # pivot column -> fully reduced row mod P
         self.n_inserted = 0
 
@@ -135,8 +137,7 @@ class SparseEchelon:
     def copy(self) -> "SparseEchelon":
         """An independent echelon form that shares this one's row dicts."""
         new = copy.copy(self)
-        new.rows, new.combos = list(self.rows), list(self.combos)
-        new.pivots, new.rows_p = dict(self.pivots), dict(self.rows_p)
+        new.rows, new.rows_p = dict(self.rows), dict(self.rows_p)
         return new
 
     def _eliminate(self, r: dict, combo: dict, track: bool = True) -> tuple:
@@ -150,20 +151,18 @@ class SparseEchelon:
         """
         while r:
             lead = max(r)
-            hit = self.pivots.get(lead)
+            hit = self.rows.get(lead)
             if hit is None:
                 break
-            prow = self.rows[hit]
+            prow, pcombo = hit
             a, b = prow[lead], r[lead]
             r = _combine(r, prow, a, -b)
-            combo = _combine(combo, self.combos[hit] if track else {}, a, -b)
+            combo = _combine(combo, pcombo if track else {}, a, -b)
             _strip_gcd(r, combo)
         return r, combo
 
     def _append(self, r: dict, combo: dict) -> None:
-        self.pivots[max(r)] = len(self.rows)
-        self.rows.append(r)
-        self.combos.append(combo)
+        self.rows[max(r)] = r, combo
 
     def _reduce_p(self, r: dict) -> dict:
         """Clear every pivot column of r mod P against ``rows_p``, in place;
@@ -237,20 +236,33 @@ class SparseEchelon:
         return self._reduce(row, False)[0]
 
 
-class ModuleWindow:
-    """The finite-dimensional graded slice of a module up to a given depth."""
+class WindowSubspace:
+    """The graded slice of a module up to a depth, column i being
+    ``basis[i]``, and a row-reduced subspace of it with witnesses: positive
+    membership answers come with the exact rational combination of
+    generators that reproduces the queried vector.  The columns that are
+    no pivot, ``cosets()``, are the coset representatives of the quotient.
 
-    def __init__(self, module: GenModule, depth: int):
+    ``base`` grows a subspace of a shallower window of the same module onto
+    this one: its generators and echelon rows are taken over and ``base``
+    itself is left unchanged.  The window basis is ordered by depth, so a
+    shallower basis is a prefix of a deeper one and the base's column
+    indices stay valid.
+    """
+
+    def __init__(self, module: GenModule, depth: int, base: "WindowSubspace | None" = None):
         self.module = module
         self.depth = depth
         self.basis = basis_window(module, depth)
         self.index = {bv: i for i, bv in enumerate(self.basis)}
-
-    def __len__(self):
-        return len(self.basis)
-
-    def dims_by_depth(self) -> list:
-        return [self.module.dim_at_depth(d) for d in range(self.depth + 1)]
+        if base is None:
+            self.ech = SparseEchelon()
+            self.gens: list[GradedVector] = []
+        else:
+            if base.module is not module or base.depth > depth:
+                raise ValueError("a subspace only grows onto a deeper window of its module")
+            self.ech = base.ech.copy()
+            self.gens = list(base.gens)
 
     def row_of(self, gv: GradedVector) -> dict:
         row = {}
@@ -265,58 +277,42 @@ class ModuleWindow:
     def vector_of(self, row: dict) -> GradedVector:
         return GradedVector(self.module, {self.basis[i]: c for i, c in row.items()})
 
-
-class WindowSubspace:
-    """A row-reduced subspace of a module window, with witnesses: positive
-    membership answers come with the exact rational combination of
-    generators that reproduces the queried vector.
-
-    ``base`` grows a subspace of a shallower window of the same module onto
-    this one: its generators and echelon rows are taken over and ``base``
-    itself is left unchanged.  The window basis is ordered by depth, so a
-    shallower basis is a prefix of a deeper one and the base's column
-    indices stay valid.
-    """
-
-    def __init__(self, window: ModuleWindow, base: "WindowSubspace | None" = None):
-        self.window = window
-        if base is None:
-            self.ech = SparseEchelon()
-            self.gens: list[GradedVector] = []
-        else:
-            if base.window.module is not window.module or base.window.depth > window.depth:
-                raise ValueError("a subspace only grows onto a deeper window of its module")
-            self.ech = base.ech.copy()
-            self.gens = list(base.gens)
+    def dims_by_depth(self) -> list:
+        return [self.module.dim_at_depth(d) for d in range(self.depth + 1)]
 
     def add_generator(self, gv: GradedVector) -> bool:
         self.gens.append(gv)
-        row = self.window.row_of(gv)
-        return self.ech.insert_rational(row)
+        return self.ech.insert_rational(self.row_of(gv))
 
     @property
     def rank(self) -> int:
         return self.ech.rank
 
+    def cosets(self) -> list:
+        """The columns that are no pivot, in order: the coset representatives."""
+        return [i for i in range(len(self.basis)) if i not in self.ech.rows]
+
+    def coordinates(self, gv: GradedVector) -> dict:
+        """gv modulo the subspace as a row over ``cosets()`` columns."""
+        return self.ech.remainder(self.row_of(gv))
+
     def reduce(self, gv: GradedVector) -> GradedVector:
         """Canonical representative of gv modulo the subspace."""
-        return self.window.vector_of(self.ech.remainder(self.window.row_of(gv)))
+        return self.vector_of(self.coordinates(gv))
 
     def split(self, gv: GradedVector):
         """(canonical representative of gv, witness) from one reduction: the
         witness is None, or {generator index -> coefficient} reproducing gv
         exactly when the representative is zero."""
-        rem, combo = self.ech.reduce(self.window.row_of(gv))
+        rem, combo = self.ech.reduce(self.row_of(gv))
         # combo indices refer to insertion order, which matches self.gens;
         # rows that failed to increase rank still consumed an index
         witness = None if rem else dict(sorted(combo.items()))
-        return self.window.vector_of(rem), witness
+        return self.vector_of(rem), witness
 
     def quotient_dims_by_depth(self) -> list:
         """Per-depth upper bounds for the dimensions of window/(subspace)."""
-        pivot_depth: dict[int, int] = {}
-        for col in self.ech.pivots:
-            d = self.window.basis[col].depth
-            pivot_depth[d] = pivot_depth.get(d, 0) + 1
-        return [self.window.module.dim_at_depth(d) - pivot_depth.get(d, 0)
-                for d in range(self.window.depth + 1)]
+        dims = [0] * (self.depth + 1)
+        for col in self.cosets():
+            dims[self.basis[col].depth] += 1
+        return dims

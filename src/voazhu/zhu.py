@@ -30,7 +30,7 @@ from math import lcm
 from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
 from .formal import as_scalar, binom
-from .linalg import ModuleWindow, WindowSubspace
+from .linalg import WindowSubspace
 from .modules import GenModule, VOAlgebra, basis_window, bilinear
 
 
@@ -217,8 +217,7 @@ class IdealWindow:
         self.N = N
         self.depth = depth
         self.families = families
-        self.window = ModuleWindow(module, depth)
-        self.subspace = WindowSubspace(self.window, base.subspace if base else None)
+        self.subspace = WindowSubspace(module, depth, base.subspace if base else None)
         self.labels: list[str] = list(base.labels) if base else []
         self._enumerate(base.depth if base else 0)
 

@@ -16,8 +16,9 @@ import pytest
 
 from voazhu import GradedVector
 from voazhu.bimodule import (AXIOM_IDS, action_swap_defect, axiom_defect,
-                             axiom_window_depth, bimodule_context,
-                             commutator_defect, deep_residue_element)
+                             axiom_window_depth, bimodule_context, circ_w,
+                             circ_wv, commutator_defect, right_star,
+                             right_star_alt)
 from voazhu.identities import (alternating_binomial_sum,
                                verify_bivariate_binomial_cancellation,
                                verify_telescoping_binomial_sum)
@@ -29,7 +30,6 @@ from voazhu.report import SuiteConfig, report_json, run_suite
 from voazhu.sampling import SampleStream
 from voazhu.zhu import (lp_element, o_action, omega0_basis, star_product,
                         zhu_context)
-from voazhu.bimodule import circ_w
 
 
 def _announce(num, label):
@@ -180,9 +180,9 @@ def test_criterion_5_bimodule_suite():
                 # the three congruence families stated for pairs
                 pair_defects = [
                     action_swap_defect(module, u, w, N),
-                    action_swap_defect(module, u, w, N, mirrored=True),
-                    deep_residue_element(module, u, w, N, p=1, q=0),
-                    deep_residue_element(module, u, w, N, p=1, q=1, mirrored=True),
+                    right_star(module, w, u, N) - right_star_alt(module, w, u, N),
+                    circ_w(module, u, w, N, p=1, q=0),
+                    circ_wv(module, w, u, N, p=1, q=1),
                     commutator_defect(module, u, w, N),
                     commutator_defect(module, u, w, N, mirrored=True),
                 ]

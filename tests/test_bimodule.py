@@ -9,9 +9,8 @@ from oracles import (residue_oracle, star_oracle, ywv_residue_oracle,
 from voazhu import GradedVector, binom
 from voazhu.bimodule import (AXIOM_IDS, action_swap_defect, bimodule_context,
                              certify_bimodule_membership, check_axiom, circ_w,
-                             circ_wv, commutator_defect, deep_residue_element,
-                             intertwiner_ideal_context, left_star, right_star,
-                             right_star_alt)
+                             circ_wv, commutator_defect, intertwiner_ideal_context,
+                             left_star, right_star, right_star_alt)
 from voazhu.sampling import SampleStream
 from voazhu.zhu import lp_element, star_product
 
@@ -172,15 +171,17 @@ def test_deep_power_memberships(heis, fock_one):
         u = stream.monomial(heis, 2)
         w = stream.monomial(fock_one, 1)
         for mirrored in (False, True):
-            x = deep_residue_element(fock_one, u, w, 0, p=p, q=q, mirrored=mirrored)
+            x = (circ_wv(fock_one, w, u, 0, p=p, q=q) if mirrored
+                 else circ_w(fock_one, u, w, 0, p=p, q=q))
             cert = certify_bimodule_membership(fock_one, 0, x, max(7, x.max_depth() + 1))
             assert cert.certified, (p, q, mirrored)
 
 
 def test_action_swap_defects_certified(heis, fock_one):
     for N in (0, 1):
-        for mirrored in (False, True):
-            d = action_swap_defect(fock_one, heis.alpha(), fock_one.lw(), N, mirrored)
+        u, w = heis.alpha(), fock_one.lw()
+        for d in (action_swap_defect(fock_one, u, w, N),
+                  right_star(fock_one, w, u, N) - right_star_alt(fock_one, w, u, N)):
             cert = certify_bimodule_membership(fock_one, N, d, max(8, d.max_depth() + 1))
             assert cert.certified
 

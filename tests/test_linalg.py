@@ -12,7 +12,7 @@ from voazhu.bimodule import action_swap_defect, bimodule_context, commutator_def
 from voazhu.errors import WindowOverflowError
 from voazhu.heisenberg import FockModule, HeisenbergVOA
 from voazhu.intertwiner import fusion_dim
-from voazhu.linalg import ModuleWindow, SparseEchelon, WindowSubspace, _scaled
+from voazhu.linalg import SparseEchelon, WindowSubspace, _scaled
 from voazhu.sampling import SampleStream
 from voazhu.virasoro import VirasoroVOA
 from voazhu.zhu import star_product, zhu_context
@@ -43,7 +43,7 @@ def test_rank_matches_dense_oracle(seed):
     reversed_rows = [{ncols - 1 - c: v for c, v in r.items()} for r in rows]
     rank, pivots = dense_rref(reversed_rows, ncols)
     assert ech.rank == rank
-    assert set(ech.pivots) == {ncols - 1 - c for c in pivots}
+    assert set(ech.rows) == {ncols - 1 - c for c in pivots}
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -55,7 +55,7 @@ def test_reduce_leaves_no_pivot_support(seed):
         ech.insert_rational(dict(r))
     probe = {c: Fraction(rng.randint(-5, 5)) for c in range(6)}
     rem, _ = ech.reduce(dict(probe))
-    assert not set(rem) & set(ech.pivots)
+    assert not set(rem) & set(ech.rows)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
@@ -123,7 +123,7 @@ def test_reduce_remainder_does_not_depend_on_insertion_order(seed):
 
 
 def test_window_roundtrip_and_overflow(fock_one):
-    window = ModuleWindow(fock_one, 3)
+    window = WindowSubspace(fock_one, 3)
     x = fock_one.monomial([("a", -2), ("a", -1)], Fraction(5, 3)) + fock_one.lw()
     assert window.vector_of(window.row_of(x)) == x
     deep = fock_one.monomial([("a", -4)])
@@ -134,16 +134,15 @@ def test_window_roundtrip_and_overflow(fock_one):
 
 def test_window_subspace_quotient_reps_are_shallow(fock_one):
     """Quotient representatives should sit at the bottom of the window."""
-    window = ModuleWindow(fock_one, 3)
-    sub = WindowSubspace(window)
+    sub = WindowSubspace(fock_one, 3)
     # relations identifying each depth-(d+1) layer with lower ones
     from voazhu.zhu import lp_element
     for d in range(3):
         for bv in fock_one.basis_at_depth(d):
             from voazhu.basis import GradedVector
             sub.add_generator(lp_element(fock_one, GradedVector(fock_one, {bv: Fraction(1)})))
-    free_cols = [i for i in range(len(window.basis)) if i not in sub.ech.pivots]
-    free_depths = sorted(window.basis[i].depth for i in free_cols)
+    free_cols = [i for i in range(len(sub.basis)) if i not in sub.ech.rows]
+    free_depths = sorted(sub.basis[i].depth for i in free_cols)
     assert free_depths == sorted(free_depths)
     assert free_depths[0] == 0
 
@@ -195,21 +194,24 @@ def test_filtered_window_matches_dense_and_plain_exact(context, module, N, depth
     base = context(mod, N, depth - 2)
     ctx = context(mod, N, depth)   # grown from base through SparseEchelon.copy
     for win in (base, ctx):
-        rows = [win.window.row_of(gv) for gv in win.subspace.gens]
-        ncols = len(win.window.basis)
+        rows = [win.subspace.row_of(gv) for gv in win.subspace.gens]
+        ncols = len(win.subspace.basis)
         rank, pivots = dense_rref([{ncols - 1 - c: v for c, v in r.items()} for r in rows],
                                   ncols)
         assert win.subspace.rank == rank
-        assert set(win.subspace.ech.pivots) == {ncols - 1 - c for c in pivots}
+        assert set(win.subspace.ech.rows) == {ncols - 1 - c for c in pivots}
+        free = [c for c in range(ncols) if ncols - 1 - c not in pivots]
+        assert win.subspace.cosets() == free
+        assert win.quotient_dims() == [sum(win.subspace.basis[c].depth == d for c in free)
+                                       for d in range(win.depth + 1)]
         filtered = SparseEchelon()
         gains = [filtered.insert_rational(dict(r)) for r in rows]
         plain, plain_gains = _plain_exact(rows)
         assert gains == plain_gains
         assert sum(gains) < len(rows)   # the filter had rows to drop
         for form in (filtered, win.subspace.ech):
-            assert (form.rows, form.combos, form.pivots) == \
-                (plain.rows, plain.combos, plain.pivots)
-            assert set(form.rows_p) == set(plain.pivots)
+            assert form.rows == plain.rows
+            assert set(form.rows_p) == set(plain.rows)
             _assert_fully_reduced_mod_p(form)
 
 
@@ -219,7 +221,7 @@ def _assert_fully_reduced_mod_p(form):
     for col, prow in form.rows_p.items():
         assert max(prow) == col and prow[col] == 1
         assert not (set(prow) - {col}) & set(form.rows_p)
-    for row in form.rows:
+    for row, _ in form.rows.values():
         assert not form._reduce_p(linalg._mod_p(row))
 
 
@@ -231,8 +233,8 @@ def test_remainder_matches_reduce_on_real_windows(context, module, N, depth):
     rng = random.Random(100 * N + depth)
     zero = nonzero = 0
     for win in (context(mod, N, depth - 2), context(mod, N, depth)):
-        ech, ncols = win.subspace.ech, len(win.window.basis)
-        gens = [win.window.row_of(gv) for gv in win.subspace.gens]
+        ech, ncols = win.subspace.ech, len(win.subspace.basis)
+        gens = [win.subspace.row_of(gv) for gv in win.subspace.gens]
         probes = random_rows(rng, 6, ncols, density=0.2)
         probes += [_rebuild(gens, {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                                    for i in rng.sample(range(len(gens)), 3)})
@@ -257,8 +259,8 @@ def test_inserts_into_a_copy_leave_the_original_unchanged(seed):
         base.insert_rational(r)
 
     def snapshot():
-        return ([dict(r) for r in base.rows], [dict(c) for c in base.combos],
-                dict(base.pivots), {col: dict(r) for col, r in base.rows_p.items()})
+        return ({col: (dict(r), dict(c)) for col, (r, c) in base.rows.items()},
+                {col: dict(r) for col, r in base.rows_p.items()})
 
     before = snapshot()
     fork = base.copy()
@@ -362,7 +364,7 @@ def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
     ech = SparseEchelon()
     assert ech.insert_rational({0: Fraction(1), 1: Fraction(3)})
     assert ech.rank == len(ech.rows_p) == 1
-    assert set(ech.pivots) == {1} and set(ech.rows_p) == {0}
+    assert set(ech.rows) == {1} and set(ech.rows_p) == {0}
     # e_0 is its own exact remainder, but reduces to zero mod 3
     assert ech.remainder({0: Fraction(1)}) == {0: 1}
     assert not ech._reduce_p(linalg._mod_p({0: Fraction(1)}))

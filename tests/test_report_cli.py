@@ -166,6 +166,9 @@ GOLDEN_STDOUT = {
     "fusion": (["fusion", "--w1", "fock:1", "--w2", "fock:2", "--w3", "fock:3",
                 "--n", "1", "--window", "8,10"],
                "907b366565deea76289506e0042be25ed93489386c95483a8bba924a0c1d46ce"),
+    "fusion-verma": (["fusion", "--w1", "verma:c=1/2,h=1/16", "--w2", "verma:c=1/2,h=1/16",
+                      "--w3", "verma:c=1/2,h=0", "--n", "1", "--window", "6,8"],
+                     "2c268dd6f3e85c090017a2d62db83794b440a570293389a63585fac43c80d8c9"),
     "verify-identities": (["verify-identities"],
                           "df419d94ba15b93274fd9222672453de4ca692aaa2f5272b2ed74bedfcc22822"),
     "reduce": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "1"],

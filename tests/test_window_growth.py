@@ -53,7 +53,7 @@ def _ideal_vectors(ctx, rng, count=6):
     out = []
     for _ in range(count):
         picks = rng.sample(ctx.subspace.gens, min(len(ctx.subspace.gens), 3))
-        x = ctx.window.module.zero()
+        x = ctx.module.zero()
         for g in picks:
             x = x + g * Fraction(rng.randint(1, 7), rng.randint(1, 3))
         out.append(x)
@@ -62,7 +62,7 @@ def _ideal_vectors(ctx, rng, count=6):
 
 def _answers(ctx, probes):
     return {
-        "pivots": set(ctx.subspace.ech.pivots),
+        "pivots": set(ctx.subspace.ech.rows),
         "quotient": ctx.quotient_dims(),
         "reduce": [ctx.subspace.reduce(x) for x in probes],
         "status": [ctx.membership(x).status for x in probes],
@@ -73,7 +73,7 @@ def _answers(ctx, probes):
 
 def _probes(fresh, depth, seed):
     rng = random.Random(seed)
-    module = fresh.window.module
+    module = fresh.module
     return _seeded_vectors(module, depth, rng) + _ideal_vectors(fresh, rng)
 
 
@@ -95,11 +95,9 @@ def _snapshot(ctx):
     ech = ctx.subspace.ech
     return {
         "rank": ech.rank,
-        "pivots": dict(ech.pivots),
         "n_inserted": ech.n_inserted,
         "gens": list(ctx.subspace.gens),
-        "rows": [dict(r) for r in ech.rows],
-        "combos": [dict(c) for c in ech.combos],
+        "rows": {col: (dict(r), dict(c)) for col, (r, c) in ech.rows.items()},
         "rows_p": {col: dict(r) for col, r in ech.rows_p.items()},
         "labels": list(ctx.labels),
         "quotient": ctx.quotient_dims(),
@@ -143,7 +141,7 @@ def test_cache_never_answers_from_a_deeper_window():
     heis = HeisenbergVOA()
     deep = zhu_context(heis, 0, 8)
     shallow = zhu_context(heis, 0, 6)
-    assert shallow.depth == 6 and len(shallow.window) < len(deep.window)
+    assert shallow.depth == 6 and len(shallow.subspace.basis) < len(deep.subspace.basis)
     assert len(shallow.subspace.gens) == len(ZhuContext(heis, 0, 6).subspace.gens)
     assert zhu_context(heis, 0, 6) is shallow
 
@@ -155,15 +153,15 @@ def test_instances_sharing_a_module_id_never_share_a_window():
     assert other.module_id == shared.module_id and other is not shared
     mine = zhu_context(other, 0, 5)
     assert mine is not zhu_context(shared, 0, 5)
-    assert mine.window.module is other
+    assert mine.module is other
     before = {key: dict(windows) for key, windows in shared._windows.items()}
-    assert zhu_context(other, 0, 7).window.module is other
+    assert zhu_context(other, 0, 7).module is other
     assert shared._windows == before
     W = FockModule(other, 1)
     assert W.module_id == fock(1).module_id
     assert bimodule_context(W, 0, 5) is not bimodule_context(fock(1), 0, 5)
-    assert intertwiner_ideal_context(W, 0, 5).window.module is W
-    assert bimodule_context(W, 0, 5).window.module is W
+    assert intertwiner_ideal_context(W, 0, 5).module is W
+    assert bimodule_context(W, 0, 5).module is W
 
 
 def test_growth_only_onto_a_deeper_window_of_the_same_module():

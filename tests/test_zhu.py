@@ -242,7 +242,7 @@ def test_enumeration_order_independence(vir_half):
     import random
     ctx = zhu_context(vir_half, 0, 6)
     from voazhu.linalg import WindowSubspace
-    shuffled = WindowSubspace(ctx.window)
+    shuffled = WindowSubspace(ctx.module, ctx.depth)
     gens = list(ctx.subspace.gens)
     random.Random(3).shuffle(gens)
     for g in gens:
@@ -386,7 +386,7 @@ def test_context_star_window_overflow(heis):
     cert = certify_membership(heis, 0, uu, 2, retries=())
     assert not cert.certified and cert.window_depth == 2
     inside = star_product(heis, heis.one(), u, 0)
-    assert inside == u and ctx.window.row_of(inside)  # in-window products fit
+    assert inside == u and ctx.subspace.row_of(inside)  # in-window products fit
 
 
 def test_context_circ_generator_shape(heis):
