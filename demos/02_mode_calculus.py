@@ -6,8 +6,6 @@ the iterate formula.  The commutator formula is a theorem of that setup,
 and here we watch it hold - central term included.
 """
 
-from fractions import Fraction
-
 from voazhu import commutator_check
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 

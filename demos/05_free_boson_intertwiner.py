@@ -8,8 +8,6 @@ the exact computation contradicts the stated ideal-vanishing claim - the
 package's headline finding (see tests/test_discrepancy.py).
 """
 
-from fractions import Fraction
-
 from voazhu.instances import heisenberg_voa
 from voazhu.intertwiner import FockIntertwiner, check_hom_properties, induced_hom
 from voazhu.zhu import lp_element, o_action

@@ -30,7 +30,7 @@ from .formal import as_scalar
 from .heisenberg import TAG as HTAG
 from .heisenberg import HeisenbergVOA
 from .instances import fock, heisenberg_voa
-from .linalg import SparseEchelon
+from .linalg import ModPEchelon
 from .modules import GenModule, ModeTable
 from .zhu import o_action, omega0_basis
 from .bimodule import intertwiner_ideal_context, left_star, right_star_alt
@@ -219,29 +219,27 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
     """Upper bound for dim Hom(A_N(W1) (x)_{A_N(V)} bottom(W2), bottom(W3)).
 
     Unknowns are the values of a candidate map on (window coset
-    representatives of A_N(W1)) x (bottom basis of W2), with coordinates in
-    the bottom slice of W3; constraints impose the left-action equivariance
-    and the balanced-product relation against every homogeneous algebra
-    element of weight up to min(window, 6).  Constraints whose products
-    leave the window are skipped, which keeps the answer an upper bound at
-    every window; in practice it shrinks and then stabilizes as the window
-    grows, and agreement across two successive windows is the reported
-    confidence signal.
+    representatives of A_N(W1), keyed by window column) x (bottom basis of
+    W2), with coordinates in the bottom slice of W3; constraints impose the
+    left-action equivariance and the balanced-product relation against
+    every homogeneous algebra element of weight up to min(window, 6).
+    Constraints whose products leave the window are skipped, which keeps
+    the answer an upper bound at every window; in practice it shrinks and
+    then stabilizes as the window grows, and agreement across two
+    successive windows is the reported confidence signal.  The rank of the
+    constraints is counted mod P, which never exceeds their rank over Q,
+    so the bound holds at every prime.
     """
     sub = intertwiner_ideal_context(W1, N, window).subspace
     q_cols = sub.cosets()
-    col_pos = {c: qi for qi, c in enumerate(q_cols)}
     b2 = omega0_basis(W2, N)
     b3 = omega0_basis(W3, N)
     n2, n3, nq = len(b2), len(b3), len(q_cols)
     if nq == 0 or n2 == 0 or n3 == 0:
         return 0
 
-    def unknown(qi: int, b2i: int, b3i: int) -> int:
-        return (qi * n2 + b2i) * n3 + b3i
-
-    def reduce_to_q(vec: GradedVector) -> dict:
-        return {col_pos[c]: v for c, v in sub.coordinates(vec).items()}
+    def unknown(col: int, b2i: int, b3i: int) -> int:
+        return (col * n2 + b2i) * n3 + b3i
 
     def o_matrix(W: GenModule, u: GradedVector, basis: list) -> list:
         """Column i -> the coordinates over basis of o(u) basis[i]."""
@@ -249,7 +247,7 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         outs = (o_action(W, u, GradedVector(W, {bv: 1})) for bv in basis)
         return [{pos[b]: c for b, c in out.terms.items()} for out in outs]
 
-    ech = SparseEchelon()
+    ranks = ModPEchelon()
 
     def constrain(product: dict, b2i: int, r: int, o_terms) -> None:
         """f(product (x) b2) at coordinate r minus the (unknown, coeff) o(u) terms."""
@@ -259,28 +257,28 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
             row[key] = row.get(key, 0) + c
         for key, c in o_terms:
             row[key] = row.get(key, 0) - c
-        ech.insert_rational({k: v for k, v in row.items() if v != 0})
+        ranks.insert(row)
 
     nvars = nq * n2 * n3
     for a in range(1, min(window, 6) + 1):
         for u_bv in algebra.basis_at_depth(a):
             u = GradedVector(algebra, {u_bv: 1})
             m3, m2 = o_matrix(W3, u, b3), o_matrix(W2, u, b2)
-            for qi, col in enumerate(q_cols):
+            for col in q_cols:
                 qvec = GradedVector(W1, {sub.basis[col]: 1})
                 if a + sub.basis[col].depth + 2 * N > window:
                     continue  # the products would leave the window
-                lv = reduce_to_q(left_star(W1, u, qvec, N))
-                rv = reduce_to_q(right_star_alt(W1, qvec, u, N))
+                lv = sub.coordinates(left_star(W1, u, qvec, N))
+                rv = sub.coordinates(right_star_alt(W1, qvec, u, N))
                 for b2i in range(n2):
                     for r in range(n3):
                         # left: f(u * q (x) b2) = o(u) f(q (x) b2)
-                        constrain(lv, b2i, r, [(unknown(qi, b2i, s), m3[s][r])
+                        constrain(lv, b2i, r, [(unknown(col, b2i, s), m3[s][r])
                                                for s in range(n3) if m3[s].get(r)])
                         # right: f(q * u (x) b2) = f(q (x) o(u) b2)
-                        constrain(rv, b2i, r, [(unknown(qi, b2p, r), m2[b2i][b2p])
+                        constrain(rv, b2i, r, [(unknown(col, b2p, r), m2[b2i][b2p])
                                                for b2p in range(n2) if m2[b2i].get(b2p)])
-    return nvars - ech.rank
+    return nvars - ranks.rank
 
 
 def fusion_report(algebra, W1, W2, W3, N: int, windows=(6, 8)) -> dict:

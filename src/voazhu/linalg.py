@@ -17,17 +17,15 @@ echelon form, and the fork and the original share every row they have in
 common (``SparseEchelon.copy``, growing a ``WindowSubspace``).
 
 Most rows offered to an ideal window add no rank, so ``insert_rational``
-first reduces a row modulo the prime ``P`` against a second echelon form,
-the images of the stored rows mod ``P``, fully reduced and without combos.
-A row that reduces to zero there is dropped without exact elimination.
-Each row mod ``P`` is monic and zero at every other pivot column, so a
-reduction is one pass over the row's pivot columns; an insert
-back-substitutes its new row into the stored rows mod ``P`` by replacing
-them, so a fork still shares no row that it changes.  The filter is
-sound: a row that is independent mod ``P`` is independent over Q, so for
-all but finitely many primes the exact form keeps exactly the rows and
-combos it would keep without the filter, and witnesses do not change.  For
-an unlucky prime a rank-adding row may be dropped; the window then shrinks,
+first enters the row in a ``ModPEchelon``, the one mod-P form: the row is
+scaled to integers, its image mod ``P`` is reduced against fully reduced
+monic rows and stored if it is nonzero, and only then is the row
+eliminated exactly.  There is no exact fallback: a row independent mod
+``P`` of the kept rows' images is independent over Q of the kept rows, so
+the exact form's rank always equals the form mod ``P``'s.  For all but
+finitely many primes the exact form keeps exactly the rows and combos it
+would keep without the filter, and witnesses do not change.  For an
+unlucky prime a rank-adding row may be dropped; the window then shrinks,
 which only raises the quotient and fusion bounds, and every Certified
 answer is still re-multiplied by its caller.
 
@@ -49,21 +47,10 @@ from .modules import GenModule, basis_window
 P = 2**61 - 1   # the prime of the rank filter
 
 
-def _mod_p(row: dict) -> dict | None:
-    """The image mod P of a row of ints or Fractions, None if a denominator
-    is divisible by P."""
-    out = {}
-    for k, v in row.items():
-        den = v.denominator
-        if den == 1:
-            x = v.numerator % P
-        elif den % P:
-            x = v.numerator * pow(den, -1, P) % P
-        else:
-            return None
-        if x:
-            out[k] = x
-    return out
+def _mod_p(row: dict) -> dict:
+    """The image mod P of a row of ints or Fractions scaled to integers."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {k: x for k, v in row.items() if (x := v.numerator * (den // v.denominator) % P)}
 
 
 def _sub_p(r: dict, c: int, row: dict) -> None:
@@ -107,6 +94,51 @@ def _scaled(row: dict, key) -> tuple:
     return {k: int(v * den) for k, v in row.items() if v != 0}, {key: den}
 
 
+class ModPEchelon:
+    """Rank-only echelon form of rows mod P, each scaled to integers first.
+
+    ``rows`` maps a pivot column, a row's highest, to a row mod P that is
+    monic there and zero at every other pivot column, so reducing a row is
+    one pass over its pivot columns.  The rank is at most the rank of the
+    rows over Q, and equal to it for all but finitely many primes.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def copy(self) -> "ModPEchelon":
+        """An independent form that shares this one's row dicts."""
+        new = ModPEchelon()
+        new.rows = dict(self.rows)
+        return new
+
+    def insert(self, row: dict) -> bool:
+        """Add a rational row's image mod P; returns True if it increased the rank.
+
+        The new row, made monic, is cleared from the stored rows; a stored
+        row that changes is replaced, never edited: ``copy`` shares them.
+        """
+        r, rows = _mod_p(row), self.rows
+        for col in r.keys() & rows.keys():
+            _sub_p(r, r[col], rows[col])
+        if not r:
+            return False
+        lead = max(r)
+        inv = pow(r[lead], -1, P)
+        new = {k: v * inv % P for k, v in r.items()}
+        for col, prow in rows.items():
+            c = prow.get(lead)
+            if c:
+                rows[col] = out = dict(prow)
+                _sub_p(out, c, new)
+        rows[lead] = new
+        return True
+
+
 class SparseEchelon:
     """Incrementally maintained echelon form of sparse rows.
 
@@ -116,18 +148,17 @@ class SparseEchelon:
     integer row and the integer combination of the input rows, as
     supplied, that the row equals.
 
-    ``rows_p`` maps a pivot column to a row mod P, fully reduced: monic at
-    its pivot and zero at every other pivot column.  These rows span the
-    images of the stored rows mod P, under the same highest-column pivot
-    rule, and filter ``insert_rational``: a row whose image reduces to zero
-    against them is dropped before any exact elimination.
+    ``rows_p`` is a ``ModPEchelon`` of the kept input rows and filters
+    ``insert_rational``: a row whose image mod P adds no rank there is
+    dropped before any exact elimination, and every other row adds rank to
+    both forms, so ``rank == rows_p.rank``.
     """
 
     def __init__(self):
         # pivot column -> (row, combo over input indices); not primitive:
         # the gcd is stripped from a row and its combo together
         self.rows: dict[int, tuple[dict, dict]] = {}
-        self.rows_p: dict[int, dict] = {}  # pivot column -> fully reduced row mod P
+        self.rows_p = ModPEchelon()
         self.n_inserted = 0
 
     @property
@@ -137,7 +168,7 @@ class SparseEchelon:
     def copy(self) -> "SparseEchelon":
         """An independent echelon form that shares this one's row dicts."""
         new = copy.copy(self)
-        new.rows, new.rows_p = dict(self.rows), dict(self.rows_p)
+        new.rows, new.rows_p = dict(self.rows), self.rows_p.copy()
         return new
 
     def _eliminate(self, r: dict, combo: dict, track: bool = True) -> tuple:
@@ -164,48 +195,17 @@ class SparseEchelon:
     def _append(self, r: dict, combo: dict) -> None:
         self.rows[max(r)] = r, combo
 
-    def _reduce_p(self, r: dict) -> dict:
-        """Clear every pivot column of r mod P against ``rows_p``, in place;
-        returns r.  The rows are fully reduced, so clearing one pivot column
-        leaves r's entries at the others as they were: one pass suffices."""
-        rows_p = self.rows_p
-        for col in r.keys() & rows_p.keys():
-            _sub_p(r, r[col], rows_p[col])
-        return r
-
-    def _append_p(self, r: dict) -> None:
-        """Add a row mod P, already reduced against ``rows_p``, as a monic
-        row, and clear its lead from the stored rows.  A stored row that
-        changes is replaced, never edited: ``copy`` shares the row dicts."""
-        lead = max(r)
-        inv = pow(r[lead], -1, P)
-        new = {k: v * inv % P for k, v in r.items()}
-        rows_p = self.rows_p
-        for col, prow in rows_p.items():
-            c = prow.get(lead)
-            if c:
-                rows_p[col] = out = dict(prow)
-                _sub_p(out, c, new)
-        rows_p[lead] = new
-
     def insert_rational(self, row: dict) -> bool:
         """Insert a rational row; returns True if it increased the rank.
 
-        A row that is zero mod P against ``rows_p`` is dropped unreduced;
-        dropped and zero rows still consume an input index.
+        A row whose image mod P adds no rank to ``rows_p`` is dropped
+        unreduced; dropped and zero rows still consume an input index.
         """
-        r_p = _mod_p(row)
-        if r_p is not None and not self._reduce_p(r_p):
-            self.n_inserted += 1
-            return False
-        r, combo = self._eliminate(*_scaled(row, self.n_inserted))
+        key = self.n_inserted
         self.n_inserted += 1
-        if not r:
+        if not self.rows_p.insert(row):
             return False
-        self._append(r, combo)
-        r_p = self._reduce_p(_mod_p(r))
-        if r_p:
-            self._append_p(r_p)
+        self._append(*self._eliminate(*_scaled(row, key)))
         return True
 
     def _reduce(self, row: dict, track: bool) -> tuple:

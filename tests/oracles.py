@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity along a different route than the library
 takes: series bookkeeping instead of closed-form binomial sums, direct
 normal-ordered quadratic expressions instead of the iterate recursion,
-dense Fraction elimination instead of fraction-free sparse elimination.
+dense Fraction elimination instead of fraction-free sparse elimination,
+exact elimination alone instead of behind the mod-P rank filter.
 Expected values frozen in the test files were produced by these.
 """
 
@@ -12,6 +13,7 @@ from math import factorial
 
 from voazhu import BasisVector, GradedVector, binom, partitions
 from voazhu.instances import fock
+from voazhu.linalg import SparseEchelon, _scaled
 from voazhu.modules import ModeTable
 
 
@@ -137,6 +139,17 @@ def dense_rref(rows, ncols):
         pivots.append(col)
         rank += 1
     return rank, pivots
+
+
+def plain_exact(rows):
+    """The exact elimination alone, with no mod-P filter: (form, rank gains)."""
+    ech, gains = SparseEchelon(), []
+    for i, row in enumerate(rows):
+        r, combo = ech._eliminate(*_scaled(row, i))
+        if r:
+            ech._append(r, combo)
+        gains.append(bool(r))
+    return ech, gains
 
 
 def _exponential_coefficient(module, bv, lam, total, sign):

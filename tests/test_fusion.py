@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from voazhu.instances import fock, heisenberg_voa
+from oracles import plain_exact
+from voazhu import intertwiner
+from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.intertwiner import fusion_dim, fusion_report
 
 
@@ -61,3 +63,39 @@ def test_fusion_level_one_is_a_sound_upper_bound(V):
 
 def test_degenerate_empty_bottom_slice(V):
     assert fusion_dim(V, fock(1), fock(2), fock(3), 0, window=0) in (0, 1)
+
+
+@pytest.mark.parametrize("triple, N, window, offered, rank", [
+    (("fock", 1, 2, 3), 0, 6, 136, 6),
+    (("fock", 1, 2, 4), 0, 6, 136, 7),
+    (("fock", "1/2", "1/2", 1), 0, 6, 136, 6),
+    (("verma", "1/16", "1/16", 0), 0, 6, 62, 14),
+    (("verma", "1/16", "1/16", 0), 1, 6, 64, 40),
+    (("fock", 1, 2, 3), 1, 8, 824, 88),
+], ids=["fock-1-2-3", "fock-1-2-4", "fock-half", "verma-ising", "verma-ising-N1",
+        "fock-1-2-3-N1"])
+def test_rank_mod_p_is_the_exact_rank(monkeypatch, triple, N, window, offered, rank):
+    """fusion_dim counts the rank of its constraints mod P; the same rows
+    eliminated exactly, with no filter, have the same rank."""
+    kind, *args = triple
+    if kind == "fock":
+        algebra, modules = heisenberg_voa(), [fock(a) for a in args]
+    else:
+        algebra, modules = virasoro_voa("1/2"), [verma("1/2", h) for h in args]
+    seen = []
+
+    class Recording(intertwiner.ModPEchelon):
+        def __init__(self):
+            super().__init__()
+            seen.append(self)
+            self.offered = []
+
+        def insert(self, row):
+            self.offered.append(dict(row))
+            return super().insert(row)
+
+    monkeypatch.setattr(intertwiner, "ModPEchelon", Recording)
+    fusion_dim(algebra, *modules, N, window)
+    (ranks,) = seen
+    assert (len(ranks.offered), ranks.rank) == (offered, rank)
+    assert plain_exact(ranks.offered)[0].rank == rank

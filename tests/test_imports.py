@@ -1,8 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, demo and test file uses each name it imports.
 
 A stdlib ``ast`` scan: a name bound by ``import`` or ``from ... import`` in
-a module of ``src/voazhu`` (other than ``__init__.py``, which re-exports)
-must appear as a name somewhere in that module.
+a module of ``src/voazhu`` (other than ``__init__.py``, which re-exports),
+a demo or a test file must appear as a name somewhere in that file.
 """
 
 import ast
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "voazhu"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "voazhu"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tests/*.py")))
 
 
 def unused_imports(path: Path) -> list:

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rref
+from oracles import dense_rref, plain_exact
 from voazhu import linalg
 from voazhu.bimodule import action_swap_defect, bimodule_context, commutator_defect
 from voazhu.errors import WindowOverflowError
 from voazhu.heisenberg import FockModule, HeisenbergVOA
 from voazhu.intertwiner import fusion_dim
-from voazhu.linalg import SparseEchelon, WindowSubspace, _scaled
+from voazhu.linalg import SparseEchelon, WindowSubspace
 from voazhu.sampling import SampleStream
 from voazhu.virasoro import VirasoroVOA
 from voazhu.zhu import star_product, zhu_context
@@ -164,17 +164,6 @@ def test_window_subspace_witness_soundness(heis):
 
 # --- the mod-P rank filter ------------------------------------------------------
 
-def _plain_exact(rows):
-    """The exact elimination alone, with no filter: (form, rank gains)."""
-    ech, gains = SparseEchelon(), []
-    for i, row in enumerate(rows):
-        r, combo = ech._eliminate(*_scaled(row, i))
-        if r:
-            ech._append(r, combo)
-        gains.append(bool(r))
-    return ech, gains
-
-
 # six real windows: (context, fresh module, N, depth); each is also built at
 # depth - 2, the base it grows from
 REAL_WINDOWS = pytest.mark.parametrize("context, module, N, depth", [
@@ -206,23 +195,23 @@ def test_filtered_window_matches_dense_and_plain_exact(context, module, N, depth
                                        for d in range(win.depth + 1)]
         filtered = SparseEchelon()
         gains = [filtered.insert_rational(dict(r)) for r in rows]
-        plain, plain_gains = _plain_exact(rows)
+        plain, plain_gains = plain_exact(rows)
         assert gains == plain_gains
         assert sum(gains) < len(rows)   # the filter had rows to drop
         for form in (filtered, win.subspace.ech):
             assert form.rows == plain.rows
-            assert set(form.rows_p) == set(plain.rows)
+            assert set(form.rows_p.rows) == set(plain.rows)
             _assert_fully_reduced_mod_p(form)
 
 
 def _assert_fully_reduced_mod_p(form):
     """rows_p is fully reduced: each row is monic at its pivot and zero at
     every other pivot column, and every exact row reduces to zero against it."""
-    for col, prow in form.rows_p.items():
+    for col, prow in form.rows_p.rows.items():
         assert max(prow) == col and prow[col] == 1
-        assert not (set(prow) - {col}) & set(form.rows_p)
+        assert not (set(prow) - {col}) & set(form.rows_p.rows)
     for row, _ in form.rows.values():
-        assert not form._reduce_p(linalg._mod_p(row))
+        assert not form.rows_p.copy().insert(row)
 
 
 @REAL_WINDOWS
@@ -260,14 +249,14 @@ def test_inserts_into_a_copy_leave_the_original_unchanged(seed):
 
     def snapshot():
         return ({col: (dict(r), dict(c)) for col, (r, c) in base.rows.items()},
-                {col: dict(r) for col, r in base.rows_p.items()})
+                {col: dict(r) for col, r in base.rows_p.rows.items()})
 
     before = snapshot()
     fork = base.copy()
     for r in random_rows(rng, 4, 10):
         fork.insert_rational(r)
     assert fork.rank > base.rank
-    assert any(fork.rows_p[col] is not row for col, row in base.rows_p.items())
+    assert any(fork.rows_p.rows[col] is not row for col, row in base.rows_p.rows.items())
     assert snapshot() == before
     _assert_fully_reduced_mod_p(fork)
 
@@ -337,7 +326,7 @@ def test_unlucky_prime_only_makes_answers_more_conservative(monkeypatch):
             assert rebuilt == x
 
 
-def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
+def test_denominator_divisible_by_p_is_scaled_before_the_filter(monkeypatch):
     monkeypatch.setattr(linalg, "P", 3)
     exact_calls = _count_exact(monkeypatch)
     ech = SparseEchelon()
@@ -346,10 +335,11 @@ def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
     # zero mod 3 against {0: 1}: dropped before exact elimination
     assert not ech.insert_rational({0: Fraction(4)})
     assert len(exact_calls) == 1
-    # a 1/3 entry has no image mod 3, so the exact path decides
+    # scaled by 3, a row with a 1/3 entry has image {1: 1} mod 3; twice
+    # that row is zero against it and is dropped before exact elimination
     assert ech.insert_rational({0: Fraction(1), 1: Fraction(1, 3)})
     assert not ech.insert_rational({0: Fraction(2), 1: Fraction(2, 3)})
-    assert len(exact_calls) == 3
+    assert len(exact_calls) == 2
     assert (ech.rank, ech.n_inserted) == (2, 4)
     rem, combo = ech.reduce({0: Fraction(1), 1: Fraction(1, 3)})
     assert not rem and _rebuild([{0: 1}, {0: 4}, {0: 1, 1: Fraction(1, 3)}], combo) == \
@@ -359,12 +349,23 @@ def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
 def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
     """As many rows mod P as exact rows does not mean the pivots agree: a
     fast path that reduces mod P in place of the exact remainder needs the
-    two pivot sets to be equal, not only their sizes."""
+    two pivot sets to be equal, not only their sizes.  The counts themselves
+    are always equal, at any prime and with denominators divisible by it:
+    a row independent mod P of the kept rows is independent over Q."""
     monkeypatch.setattr(linalg, "P", 3)
     ech = SparseEchelon()
     assert ech.insert_rational({0: Fraction(1), 1: Fraction(3)})
-    assert ech.rank == len(ech.rows_p) == 1
-    assert set(ech.rows) == {1} and set(ech.rows_p) == {0}
+    assert ech.rank == ech.rows_p.rank == 1
+    assert set(ech.rows) == {1} and set(ech.rows_p.rows) == {0}
     # e_0 is its own exact remainder, but reduces to zero mod 3
     assert ech.remainder({0: Fraction(1)}) == {0: 1}
-    assert not ech._reduce_p(linalg._mod_p({0: Fraction(1)}))
+    assert not ech.rows_p.copy().insert({0: Fraction(1)})
+    for p in (2, 3, 5, 7):
+        monkeypatch.setattr(linalg, "P", p)
+        rng = random.Random(p)
+        for _ in range(25):
+            ech = SparseEchelon()
+            for _ in range(8):
+                ech.insert_rational({c: Fraction(rng.randint(-6, 6), rng.choice((1, 2, p, p * p)))
+                                     for c in rng.sample(range(6), 3)})
+                assert ech.rank == ech.rows_p.rank

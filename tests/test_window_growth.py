@@ -98,7 +98,7 @@ def _snapshot(ctx):
         "n_inserted": ech.n_inserted,
         "gens": list(ctx.subspace.gens),
         "rows": {col: (dict(r), dict(c)) for col, (r, c) in ech.rows.items()},
-        "rows_p": {col: dict(r) for col, r in ech.rows_p.items()},
+        "rows_p": {col: dict(r) for col, r in ech.rows_p.rows.items()},
         "labels": list(ctx.labels),
         "quotient": ctx.quotient_dims(),
     }
