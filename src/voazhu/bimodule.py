@@ -146,7 +146,9 @@ def axiom_defect(module: GenModule, axiom_id: str, u: GradedVector,
 
 def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int,
                        margin: int = 2) -> int:
-    """A window depth guaranteed to contain the axiom's defect vector."""
+    """A window depth that holds the axiom's defect, from the sample's depths
+    alone.  It plans windows before any defect is built (``bench/workloads.py``,
+    ``tests/test_acceptance.py``); ``check_axiom`` starts at the defect's depth."""
     du = max((bv.depth for bv in u.terms), default=0)
     dv = max((bv.depth for bv in v.terms), default=0)
     dw = max((bv.depth for bv in w.terms), default=0)
@@ -158,7 +160,9 @@ def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int,
 
 
 def check_axiom(module: GenModule, axiom_id: str, u, v, w, N: int, cap=None):
-    """Certify one axiom on one sample; returns ``certify``'s (cert, depths tried)."""
+    """Certify one axiom on one sample from the defect's own depth; returns
+    ``certify``'s (cert, depths tried).  Sound at any start depth: a witness is
+    re-multiplied, and a window too shallow only answers Inconclusive, which
+    ``certify`` retries 2 and 4 levels deeper.  A zero defect certifies at depth 0."""
     defect = axiom_defect(module, axiom_id, u, v, w, N)
-    depth = max(axiom_window_depth(module, axiom_id, u, v, w, N), defect.max_depth())
-    return certify(lambda d: bimodule_context(module, N, d), defect, depth, cap=cap)
+    return certify(lambda d: bimodule_context(module, N, d), defect, defect.max_depth(), cap=cap)

@@ -7,7 +7,7 @@ import pytest
 from oracles import (residue_oracle, star_oracle, ywv_residue_oracle,
                      ywv_series_oracle, ywv_star_oracle)
 from voazhu import GradedVector, binom
-from voazhu.bimodule import (AXIOM_IDS, action_swap_defect, bimodule_context,
+from voazhu.bimodule import (AXIOM_IDS, action_swap_defect, axiom_defect, bimodule_context,
                              certify_bimodule_membership, check_axiom, circ_w,
                              circ_wv, commutator_defect, intertwiner_ideal_context,
                              left_star, right_star, right_star_alt)
@@ -221,6 +221,23 @@ def test_axiom_battery_verma(vir_half, verma_ising):
     om = vir_half.omega()
     w = verma_ising.monomial([("L", -1)])
     assert axiom_statuses(verma_ising, om, om, w, 0) == {"certified"}
+
+
+def test_axioms_certify_at_the_defect_depth(fock_half, fock_one, verma_ising):
+    """check_axiom's first window has the defect's own depth, and that window
+    certifies every axiom on seeded samples, with no deeper retry."""
+    stream = SampleStream(26)
+    for module in (fock_half, fock_one, verma_ising):
+        alg = module.algebra
+        for N in (0, 1):
+            for _ in range(3):
+                u, v = stream.monomial(alg, 2), stream.monomial(alg, 2)
+                w = stream.monomial(module, 2)
+                for axiom_id in AXIOM_IDS:
+                    cert, tried = check_axiom(module, axiom_id, u, v, w, N)
+                    depth = axiom_defect(module, axiom_id, u, v, w, N).max_depth()
+                    assert cert.certified and tried == [depth], (
+                        module.module_id, N, axiom_id, u, v, w, tried)
 
 
 def test_ideal_action_invariance(heis, fock_one):

@@ -174,7 +174,7 @@ GOLDEN_STDOUT = {
     "reduce": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "1"],
                "e083513893bc1682d1bc6abe2ea7e719b5648b5d2e688bace3d29b0fdd5fdefe"),
     "axioms": (["axioms", "--seed", "42", "--n", "0,1"],
-               "776fcc667814a308f6e7d1e898c10f176d1744c7c8855e406d26ead867bd0cf3"),
+               "8e522940a71872a127650ffcee050db2bff086f9b30a9fdcbbdca3b5d65dbbc5"),
 }
 
 
