@@ -30,7 +30,7 @@ from .formal import as_scalar
 from .heisenberg import TAG as HTAG
 from .heisenberg import HeisenbergVOA
 from .instances import fock, heisenberg_voa
-from .linalg import ModPEchelon
+from .linalg import ModPEchelon, image_mod_p
 from .modules import GenModule, ModeTable
 from .zhu import o_action, omega0_basis
 from .bimodule import intertwiner_ideal_context, left_star, right_star_alt
@@ -226,12 +226,22 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
     Constraints whose products leave the window are skipped, which keeps
     the answer an upper bound at every window; in practice it shrinks and
     then stabilizes as the window grows, and agreement across two
-    successive windows is the reported confidence signal.  The rank of the
-    constraints is counted mod P, which never exceeds their rank over Q,
-    so the bound holds at every prime.
+    successive windows is the reported confidence signal.
+
+    The system is assembled and ranked mod P.  The coset representatives
+    are the columns that are no pivot of the window's own mod-P form
+    (``sub.ech.rows_p``), whose rank equals the exact one, and a product's
+    coordinates are its remainder there.  Reduced mod P, the rows of the
+    window and the constraints span at most what they span over Q, so the
+    count is an upper bound for the exact system's at every prime, and
+    equal to it for all but finitely many.  A product with a denominator
+    divisible by P has its constraints skipped, and so do the left (right)
+    constraints of a u whose o(u) on W3 (W2) is not P-integral; skipping
+    only raises the bound.
     """
     sub = intertwiner_ideal_context(W1, N, window).subspace
-    q_cols = sub.cosets()
+    form = sub.ech.rows_p
+    q_cols = [c for c in range(len(sub.basis)) if c not in form.rows]
     b2 = omega0_basis(W2, N)
     b3 = omega0_basis(W3, N)
     n2, n3, nq = len(b2), len(b3), len(q_cols)
@@ -242,10 +252,11 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         return (col * n2 + b2i) * n3 + b3i
 
     def o_matrix(W: GenModule, u: GradedVector, basis: list) -> list:
-        """Column i -> the coordinates over basis of o(u) basis[i]."""
+        """Column i -> the coordinates mod P over basis of o(u) basis[i],
+        None where one is not P-integral."""
         pos = {bv: i for i, bv in enumerate(basis)}
         outs = (o_action(W, u, GradedVector(W, {bv: 1})) for bv in basis)
-        return [{pos[b]: c for b, c in out.terms.items()} for out in outs]
+        return [image_mod_p({pos[b]: c for b, c in out.terms.items()}) for out in outs]
 
     ranks = ModPEchelon()
 
@@ -268,16 +279,22 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
                 qvec = GradedVector(W1, {sub.basis[col]: 1})
                 if a + sub.basis[col].depth + 2 * N > window:
                     continue  # the products would leave the window
-                lv = sub.coordinates(left_star(W1, u, qvec, N))
-                rv = sub.coordinates(right_star_alt(W1, qvec, u, N))
+                # a side is skipped where its o(u) or its product's remainder is not P-integral
+                lv = rv = None
+                if None not in m3:
+                    lv = form.remainder(sub.row_of(left_star(W1, u, qvec, N)))
+                if None not in m2:
+                    rv = form.remainder(sub.row_of(right_star_alt(W1, qvec, u, N)))
                 for b2i in range(n2):
                     for r in range(n3):
                         # left: f(u * q (x) b2) = o(u) f(q (x) b2)
-                        constrain(lv, b2i, r, [(unknown(col, b2i, s), m3[s][r])
-                                               for s in range(n3) if m3[s].get(r)])
+                        if lv is not None:
+                            constrain(lv, b2i, r, [(unknown(col, b2i, s), m3[s][r])
+                                                   for s in range(n3) if m3[s].get(r)])
                         # right: f(q * u (x) b2) = f(q (x) o(u) b2)
-                        constrain(rv, b2i, r, [(unknown(col, b2p, r), m2[b2i][b2p])
-                                               for b2p in range(n2) if m2[b2i].get(b2p)])
+                        if rv is not None:
+                            constrain(rv, b2i, r, [(unknown(col, b2p, r), m2[b2i][b2p])
+                                                   for b2p in range(n2) if m2[b2i].get(b2p)])
     return nvars - ranks.rank
 
 

@@ -29,8 +29,14 @@ unlucky prime a rank-adding row may be dropped; the window then shrinks,
 which only raises the quotient and fusion bounds, and every Certified
 answer is still re-multiplied by its caller.
 
+The mod-P form also gives coordinates: ``ModPEchelon.remainder`` reduces
+a row's image mod P, taken entry by entry (``image_mod_p``), to the form's
+own non-pivot columns.  ``fusion_dim`` reads a window's quotient there,
+mod P end to end; every other caller reads the exact remainder.
+
 A module window is one object, ``WindowSubspace``: its basis, generators
-and echelon form; the non-pivot columns are the coset representatives.
+and echelon form; the exact form's non-pivot columns are the coset
+representatives.
 """
 
 from __future__ import annotations
@@ -51,6 +57,19 @@ def _mod_p(row: dict) -> dict:
     """The image mod P of a row of ints or Fractions scaled to integers."""
     den = lcm(*[v.denominator for v in row.values()])
     return {k: x for k, v in row.items() if (x := v.numerator * (den // v.denominator) % P)}
+
+
+def image_mod_p(row: dict) -> dict | None:
+    """The image mod P of a rational row, entry by entry: numerator times
+    denominator inverse; None if P divides a denominator."""
+    out = {}
+    for k, v in row.items():
+        den = v.denominator
+        if den % P == 0:
+            return None
+        if x := v.numerator * pow(den, -1, P) % P:
+            out[k] = x
+    return out
 
 
 def _sub_p(r: dict, c: int, row: dict) -> None:
@@ -95,12 +114,17 @@ def _scaled(row: dict, key) -> tuple:
 
 
 class ModPEchelon:
-    """Rank-only echelon form of rows mod P, each scaled to integers first.
+    """Echelon form of rows mod P, each scaled to integers first.
 
     ``rows`` maps a pivot column, a row's highest, to a row mod P that is
     monic there and zero at every other pivot column, so reducing a row is
     one pass over its pivot columns.  The rank is at most the rank of the
     rows over Q, and equal to it for all but finitely many primes.
+
+    ``remainder`` reduces a row's image mod P, entry by entry, to one
+    supported on the columns that are no pivot here: the coordinates mod P
+    of the quotient by the rows, which ``fusion_dim`` assembles its
+    constraints from.
     """
 
     def __init__(self):
@@ -137,6 +161,19 @@ class ModPEchelon:
                 _sub_p(out, c, new)
         rows[lead] = new
         return True
+
+    def remainder(self, row: dict) -> dict | None:
+        """A rational row's image mod P, reduced to the columns that are no
+        pivot; None if P divides a denominator.  The image is
+        ``image_mod_p(row)``, of the row itself: the integer-scaled image
+        that ``insert`` takes is a multiple of it, fine for a rank but not
+        for coordinates."""
+        r, rows = image_mod_p(row), self.rows
+        if r is None:
+            return None
+        for col in r.keys() & rows.keys():
+            _sub_p(r, r[col], rows[col])
+        return r
 
 
 class SparseEchelon:

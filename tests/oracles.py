@@ -4,17 +4,19 @@ Each oracle recomputes a quantity along a different route than the library
 takes: series bookkeeping instead of closed-form binomial sums, direct
 normal-ordered quadratic expressions instead of the iterate recursion,
 dense Fraction elimination instead of fraction-free sparse elimination,
-exact elimination alone instead of behind the mod-P rank filter.
-Expected values frozen in the test files were produced by these.
+exact elimination alone instead of behind the mod-P rank filter, the
+fusion system over Q instead of mod P.  Expected values frozen in the test files were produced by these.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from voazhu import BasisVector, GradedVector, binom, partitions
+from voazhu.bimodule import intertwiner_ideal_context, left_star, right_star_alt
 from voazhu.instances import fock
 from voazhu.linalg import SparseEchelon, _scaled
 from voazhu.modules import ModeTable
+from voazhu.zhu import o_action, omega0_basis
 
 
 def series_modes(module, u, w, lo):
@@ -150,6 +152,55 @@ def plain_exact(rows):
             ech._append(r, combo)
         gains.append(bool(r))
     return ech, gains
+
+
+def exact_fusion_dim(algebra, W1, W2, W3, N, window):
+    """``intertwiner.fusion_dim``'s system over Q: unknowns on the exact
+    coset representatives ``cosets()``, products read through the exact
+    ``coordinates()``, Fraction o(u) matrices, and the rank of the
+    constraints by ``plain_exact``."""
+    sub = intertwiner_ideal_context(W1, N, window).subspace
+    q_cols = sub.cosets()
+    b2, b3 = omega0_basis(W2, N), omega0_basis(W3, N)
+    n2, n3 = len(b2), len(b3)
+    if not (q_cols and n2 and n3):
+        return 0
+
+    def unknown(col, b2i, b3i):
+        return (col * n2 + b2i) * n3 + b3i
+
+    def o_matrix(W, u, basis):
+        pos = {bv: i for i, bv in enumerate(basis)}
+        outs = (o_action(W, u, GradedVector(W, {bv: 1})) for bv in basis)
+        return [{pos[b]: c for b, c in out.terms.items()} for out in outs]
+
+    rows = []
+
+    def constrain(product, b2i, r, o_terms):
+        row = {}
+        for p, c in product.items():
+            row[unknown(p, b2i, r)] = row.get(unknown(p, b2i, r), 0) + c
+        for key, c in o_terms:
+            row[key] = row.get(key, 0) - c
+        rows.append(row)
+
+    for a in range(1, min(window, 6) + 1):
+        for u_bv in algebra.basis_at_depth(a):
+            u = GradedVector(algebra, {u_bv: 1})
+            m3, m2 = o_matrix(W3, u, b3), o_matrix(W2, u, b2)
+            for col in q_cols:
+                if a + sub.basis[col].depth + 2 * N > window:
+                    continue
+                qvec = GradedVector(W1, {sub.basis[col]: 1})
+                lv = sub.coordinates(left_star(W1, u, qvec, N))
+                rv = sub.coordinates(right_star_alt(W1, qvec, u, N))
+                for b2i in range(n2):
+                    for r in range(n3):
+                        constrain(lv, b2i, r, [(unknown(col, b2i, s), m3[s][r])
+                                               for s in range(n3) if m3[s].get(r)])
+                        constrain(rv, b2i, r, [(unknown(col, b2p, r), m2[b2i][b2p])
+                                               for b2p in range(n2) if m2[b2i].get(b2p)])
+    return len(q_cols) * n2 * n3 - plain_exact(rows)[0].rank
 
 
 def _exponential_coefficient(module, bv, lam, total, sign):

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import plain_exact
-from voazhu import intertwiner
+from oracles import exact_fusion_dim
+from voazhu import intertwiner, linalg
+from voazhu.heisenberg import FockModule, HeisenbergVOA
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.intertwiner import fusion_dim, fusion_report
+from voazhu.virasoro import VermaModule, VirasoroVOA
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,12 @@ def test_degenerate_empty_bottom_slice(V):
     assert fusion_dim(V, fock(1), fock(2), fock(3), 0, window=0) in (0, 1)
 
 
+def _triple(kind, *args):
+    if kind == "fock":
+        return heisenberg_voa(), [fock(a) for a in args]
+    return virasoro_voa("1/2"), [verma("1/2", h) for h in args]
+
+
 @pytest.mark.parametrize("triple, N, window, offered, rank", [
     (("fock", 1, 2, 3), 0, 6, 136, 6),
     (("fock", 1, 2, 4), 0, 6, 136, 7),
@@ -72,30 +80,61 @@ def test_degenerate_empty_bottom_slice(V):
     (("verma", "1/16", "1/16", 0), 0, 6, 62, 14),
     (("verma", "1/16", "1/16", 0), 1, 6, 64, 40),
     (("fock", 1, 2, 3), 1, 8, 824, 88),
+    (("verma", "1/16", "1/16", 0), 1, 8, 280, 118),
+    (("verma", "1/16", "1/16", 0), 0, 8, 148, 23),
+    (("fock", "1/2", "1/2", 1), 0, 8, 252, 8),
 ], ids=["fock-1-2-3", "fock-1-2-4", "fock-half", "verma-ising", "verma-ising-N1",
-        "fock-1-2-3-N1"])
+        "fock-1-2-3-N1", "verma-ising-N1-w8", "verma-ising-w8", "fock-half-w8"])
 def test_rank_mod_p_is_the_exact_rank(monkeypatch, triple, N, window, offered, rank):
-    """fusion_dim counts the rank of its constraints mod P; the same rows
-    eliminated exactly, with no filter, have the same rank."""
-    kind, *args = triple
-    if kind == "fock":
-        algebra, modules = heisenberg_voa(), [fock(a) for a in args]
-    else:
-        algebra, modules = virasoro_voa("1/2"), [verma("1/2", h) for h in args]
+    """fusion_dim assembles and ranks its constraints mod P, on the window's
+    mod-P coset representatives; the same system over Q, on the exact coset
+    representatives and coordinates, has the same dimension.  The last
+    three triples are the ones where an integer-scaled image mod P, taken
+    for a coordinate, lowers the bound (82 -> 76, 2 -> 1, 1 -> 0)."""
+    algebra, modules = _triple(*triple)
     seen = []
 
     class Recording(intertwiner.ModPEchelon):
         def __init__(self):
             super().__init__()
             seen.append(self)
-            self.offered = []
+            self.offered = 0
 
         def insert(self, row):
-            self.offered.append(dict(row))
+            self.offered += 1
             return super().insert(row)
 
     monkeypatch.setattr(intertwiner, "ModPEchelon", Recording)
-    fusion_dim(algebra, *modules, N, window)
+    dim = fusion_dim(algebra, *modules, N, window)
     (ranks,) = seen
-    assert (len(ranks.offered), ranks.rank) == (offered, rank)
-    assert plain_exact(ranks.offered)[0].rank == rank
+    assert (ranks.offered, ranks.rank) == (offered, rank)
+    assert dim == exact_fusion_dim(algebra, *modules, N, window)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unlucky_prime_fusion_stays_above_the_exact_system(monkeypatch, p):
+    """At a small prime the mod-P coset representatives, coordinates and
+    o(u) entries can all go wrong, and the bound only grows.  The exact
+    systems are built first, at the real prime; each side has its own fresh
+    instances, so no window built at one prime is read at the other."""
+    def fresh():
+        heis, vir = HeisenbergVOA(), VirasoroVOA(Fraction(1, 2))
+        return [(heis, [FockModule(heis, m) for m in (1, 2, 3)]),
+                (vir, [VermaModule(vir, Fraction(h)) for h in ("1/16", "1/16", "0")])]
+
+    exact = [exact_fusion_dim(algebra, *modules, 0, 6) for algebra, modules in fresh()]
+    skipped = []
+    remainder = linalg.ModPEchelon.remainder
+
+    def recording(self, row):
+        out = remainder(self, row)
+        skipped.append(out is None)
+        return out
+
+    monkeypatch.setattr(linalg.ModPEchelon, "remainder", recording)
+    monkeypatch.setattr(linalg, "P", p)
+    for (algebra, modules), dim in zip(fresh(), exact):
+        skipped.clear()
+        assert fusion_dim(algebra, *modules, 0, 6) >= dim
+    if p == 2:  # the Verma products have even denominators
+        assert any(skipped)

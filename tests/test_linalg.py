@@ -346,12 +346,30 @@ def test_denominator_divisible_by_p_is_scaled_before_the_filter(monkeypatch):
         {0: 1, 1: Fraction(1, 3)}
 
 
+def test_mod_p_remainder_is_the_image_of_the_row_itself(monkeypatch):
+    """Entry by entry, numerator times denominator inverse: not the image of
+    the row scaled to integers, which is off by the scale.  None where P
+    divides a denominator; the prime is read at call time."""
+    monkeypatch.setattr(linalg, "P", 7)
+    form = linalg.ModPEchelon()
+    # the row scaled by 6 would give {0: 3, 1: 2}
+    assert form.remainder({0: Fraction(1, 2), 1: Fraction(1, 3)}) == {0: 4, 1: 5}
+    assert form.insert({0: Fraction(1), 2: Fraction(1, 2)})   # stored as {0: 2, 2: 1}
+    # e_1/3 + e_2 - (2 e_0 + e_2) = 5 e_1 + 5 e_0; scaled by 3 it would be e_1 + e_0
+    assert form.remainder({1: Fraction(1, 3), 2: Fraction(1)}) == {0: 5, 1: 5}
+    assert form.remainder({0: Fraction(2), 2: Fraction(1)}) == {}
+    assert form.remainder({1: Fraction(1, 14)}) is None
+    monkeypatch.setattr(linalg, "P", 5)
+    assert form.remainder({1: Fraction(1, 14)}) == {1: 4}
+
+
 def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
-    """As many rows mod P as exact rows does not mean the pivots agree: a
-    fast path that reduces mod P in place of the exact remainder needs the
-    two pivot sets to be equal, not only their sizes.  The counts themselves
-    are always equal, at any prime and with denominators divisible by it:
-    a row independent mod P of the kept rows is independent over Q."""
+    """As many rows mod P as exact rows does not mean the pivots agree, so
+    the mod-P form reduces to its own non-pivot columns: coordinates mod P
+    are read there, never over the exact coset representatives.  The counts
+    themselves are always equal, at any prime and with denominators
+    divisible by it: a row independent mod P of the kept rows is
+    independent over Q."""
     monkeypatch.setattr(linalg, "P", 3)
     ech = SparseEchelon()
     assert ech.insert_rational({0: Fraction(1), 1: Fraction(3)})
@@ -360,6 +378,11 @@ def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
     # e_0 is its own exact remainder, but reduces to zero mod 3
     assert ech.remainder({0: Fraction(1)}) == {0: 1}
     assert not ech.rows_p.copy().insert({0: Fraction(1)})
+    assert ech.rows_p.remainder({0: 1}) == {}
+    assert ech.rows_p.remainder({1: 1}) == {1: 1}
+    # the exact coset representatives (a window's cosets()) against the mod-P ones
+    assert [c for c in range(2) if c not in ech.rows] == [0]
+    assert [c for c in range(2) if c not in ech.rows_p.rows] == [1]
     for p in (2, 3, 5, 7):
         monkeypatch.setattr(linalg, "P", p)
         rng = random.Random(p)
