@@ -144,11 +144,11 @@ def axiom_defect(module: GenModule, axiom_id: str, u: GradedVector,
     raise ValueError(f"unknown axiom id {axiom_id!r}")
 
 
-def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int,
-                       margin: int = 2) -> int:
+def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int) -> int:
     """A window depth that holds the axiom's defect, from the sample's depths
-    alone.  It plans windows before any defect is built (``bench/workloads.py``,
-    ``tests/test_acceptance.py``); ``check_axiom`` starts at the defect's depth."""
+    alone, with a margin of two.  It plans windows before any defect is built
+    (``bench/workloads.py``, ``tests/test_acceptance.py``); ``check_axiom``
+    starts at the defect's depth."""
     du = max((bv.depth for bv in u.terms), default=0)
     dv = max((bv.depth for bv in v.terms), default=0)
     dw = max((bv.depth for bv in w.terms), default=0)
@@ -156,7 +156,7 @@ def axiom_window_depth(module: GenModule, axiom_id: str, u, v, w, N: int,
                  "circ_left", "circ_right", "ideal_circ_left", "ideal_circ_right"}
     base = du + dv + dw + (4 * N if axiom_id in two_sided else 2 * N)
     extra = 2 if axiom_id.startswith(("circ", "ideal_circ")) else 1
-    return base + extra + margin
+    return base + extra + 2
 
 
 def check_axiom(module: GenModule, axiom_id: str, u, v, w, N: int, cap=None):

@@ -17,17 +17,17 @@ echelon form, and the fork and the original share every row they have in
 common (``SparseEchelon.copy``, growing a ``WindowSubspace``).
 
 Most rows offered to an ideal window add no rank, so ``insert_rational``
-first enters the row in a ``ModPEchelon``, the one mod-P form: the row is
-scaled to integers, its image mod ``P`` is reduced against fully reduced
-monic rows and stored if it is nonzero, and only then is the row
-eliminated exactly.  There is no exact fallback: a row independent mod
-``P`` of the kept rows' images is independent over Q of the kept rows, so
-the exact form's rank always equals the form mod ``P``'s.  For all but
-finitely many primes the exact form keeps exactly the rows and combos it
-would keep without the filter, and witnesses do not change.  For an
-unlucky prime a rank-adding row may be dropped; the window then shrinks,
-which only raises the quotient and fusion bounds, and every Certified
-answer is still re-multiplied by its caller.
+clears a row's denominators once (``integer_row``, the only place that
+does) and enters the integers in ``ModPEchelon``, the one mod-P form,
+before any exact elimination: their image mod ``P`` is reduced against
+fully reduced monic rows and stored if it is nonzero.  There is no exact
+fallback: a row independent mod ``P`` of the kept rows' images is
+independent over Q of the kept rows, so the exact form's rank always
+equals the form mod ``P``'s.  For all but finitely many primes the exact
+form keeps exactly the rows and combos it would keep without the filter,
+and witnesses do not change.  For an unlucky prime a rank-adding row may
+be dropped; the window then shrinks, which only raises the quotient and
+fusion bounds, and every Certified answer is still re-multiplied.
 
 The mod-P form also gives coordinates: ``ModPEchelon.remainder`` reduces
 a row's image mod P, taken entry by entry (``image_mod_p``), to the form's
@@ -53,23 +53,21 @@ from .modules import GenModule, basis_window
 P = 2**61 - 1   # the prime of the rank filter
 
 
-def _mod_p(row: dict) -> dict:
-    """The image mod P of a row of ints or Fractions scaled to integers."""
-    den = lcm(*[v.denominator for v in row.values()])
-    return {k: x for k, v in row.items() if (x := v.numerator * (den // v.denominator) % P)}
+def integer_row(row: dict) -> tuple[dict, int]:
+    """A rational row's denominators cleared: (ints, scale) with ints the
+    nonzero entries of scale * row and scale the lcm of the denominators."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (scale // v.denominator) for k, v in row.items() if v}, scale
 
 
 def image_mod_p(row: dict) -> dict | None:
-    """The image mod P of a rational row, entry by entry: numerator times
-    denominator inverse; None if P divides a denominator."""
-    out = {}
-    for k, v in row.items():
-        den = v.denominator
-        if den % P == 0:
-            return None
-        if x := v.numerator * pow(den, -1, P) % P:
-            out[k] = x
-    return out
+    """The image mod P of a rational row itself, entry by entry: its integers
+    times the scale's inverse; None if P divides a denominator."""
+    ints, scale = integer_row(row)
+    if scale % P == 0:
+        return None
+    inv = pow(scale, -1, P)
+    return {k: x for k, v in ints.items() if (x := v * inv % P)}
 
 
 def _sub_p(r: dict, c: int, row: dict) -> None:
@@ -107,14 +105,8 @@ def _combine(a: dict, b: dict, ca: int, cb: int) -> dict:
     return out
 
 
-def _scaled(row: dict, key) -> tuple:
-    """A rational row as integers, and the combo {key: scale} that records it."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {k: int(v * den) for k, v in row.items() if v != 0}, {key: den}
-
-
 class ModPEchelon:
-    """Echelon form of rows mod P, each scaled to integers first.
+    """Echelon form mod P of integer rows.
 
     ``rows`` maps a pivot column, a row's highest, to a row mod P that is
     monic there and zero at every other pivot column, so reducing a row is
@@ -140,20 +132,27 @@ class ModPEchelon:
         new.rows = dict(self.rows)
         return new
 
-    def insert(self, row: dict) -> bool:
-        """Add a rational row's image mod P; returns True if it increased the rank.
-
-        The new row, made monic, is cleared from the stored rows; a stored
-        row that changes is replaced, never edited: ``copy`` shares them.
-        """
-        r, rows = _mod_p(row), self.rows
+    def _reduce(self, r: dict) -> dict:
+        """r, a row mod P, reduced in place to the columns that are no pivot."""
+        rows = self.rows
         for col in r.keys() & rows.keys():
             _sub_p(r, r[col], rows[col])
+        return r
+
+    def insert(self, row: dict) -> bool:
+        """Add an integer row's image mod P; returns True if it increased the rank.
+
+        The entries may have any sign and size.  The new row, made monic, is
+        cleared from the stored rows; a stored row that changes is replaced,
+        never edited: ``copy`` shares them.
+        """
+        r = self._reduce({k: x for k, v in row.items() if (x := v % P)})
         if not r:
             return False
         lead = max(r)
         inv = pow(r[lead], -1, P)
         new = {k: v * inv % P for k, v in r.items()}
+        rows = self.rows
         for col, prow in rows.items():
             c = prow.get(lead)
             if c:
@@ -165,15 +164,11 @@ class ModPEchelon:
     def remainder(self, row: dict) -> dict | None:
         """A rational row's image mod P, reduced to the columns that are no
         pivot; None if P divides a denominator.  The image is
-        ``image_mod_p(row)``, of the row itself: the integer-scaled image
-        that ``insert`` takes is a multiple of it, fine for a rank but not
-        for coordinates."""
-        r, rows = image_mod_p(row), self.rows
-        if r is None:
-            return None
-        for col in r.keys() & rows.keys():
-            _sub_p(r, r[col], rows[col])
-        return r
+        ``image_mod_p(row)``, of the row itself: the image of its cleared
+        integers (``integer_row``) is a multiple of it, fine for a rank but
+        not for coordinates."""
+        r = image_mod_p(row)
+        return None if r is None else self._reduce(r)
 
 
 class SparseEchelon:
@@ -240,15 +235,17 @@ class SparseEchelon:
         """
         key = self.n_inserted
         self.n_inserted += 1
-        if not self.rows_p.insert(row):
+        ints, scale = integer_row(row)
+        if not self.rows_p.insert(ints):
             return False
-        self._append(*self._eliminate(*_scaled(row, key)))
+        self._append(*self._eliminate(ints, {key: scale}))
         return True
 
     def _reduce(self, row: dict, track: bool) -> tuple:
         # the row is a virtual input keyed None, so r = combo[None] * row +
         # stored inputs; a lead that is no pivot is final and set aside
-        r, combo = self._eliminate(*_scaled(row, None), track)
+        ints, scale = integer_row(row)
+        r, combo = self._eliminate(ints, {None: scale}, track)
         rem = {}
         while r:
             lead = max(r)

@@ -25,12 +25,11 @@ small to tell, and the caller may retry with a larger one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .basis import GradedVector, accumulate
 from .errors import WindowOverflowError
 from .formal import as_scalar, binom
-from .linalg import WindowSubspace
+from .linalg import WindowSubspace, integer_row
 from .modules import GenModule, VOAlgebra, basis_window, bilinear
 
 
@@ -265,10 +264,10 @@ class IdealWindow:
         rep, witness = self.subspace.split(x)
         if witness is None:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
-        s = lcm(*(c.denominator for c in witness.values()))
+        ints, s = integer_row(witness)
         rebuilt: dict = {}
-        for i, c in witness.items():
-            accumulate(rebuilt, self.subspace.gens[i], c.numerator * (s // c.denominator))
+        for i, c in ints.items():
+            accumulate(rebuilt, self.subspace.gens[i], c)
         if rebuilt != {bv: c * s for bv, c in x.terms.items()}:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
         return rep, MembershipCert(CERTIFIED, self.depth, witness,

@@ -14,7 +14,7 @@ from math import factorial
 from voazhu import BasisVector, GradedVector, binom, partitions
 from voazhu.bimodule import intertwiner_ideal_context, left_star, right_star_alt
 from voazhu.instances import fock
-from voazhu.linalg import SparseEchelon, _scaled
+from voazhu.linalg import SparseEchelon, integer_row
 from voazhu.modules import ModeTable
 from voazhu.zhu import o_action, omega0_basis
 
@@ -147,7 +147,8 @@ def plain_exact(rows):
     """The exact elimination alone, with no mod-P filter: (form, rank gains)."""
     ech, gains = SparseEchelon(), []
     for i, row in enumerate(rows):
-        r, combo = ech._eliminate(*_scaled(row, i))
+        ints, scale = integer_row(row)
+        r, combo = ech._eliminate(ints, {i: scale})
         if r:
             ech._append(r, combo)
         gains.append(bool(r))

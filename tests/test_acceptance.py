@@ -199,8 +199,7 @@ def test_criterion_5_bimodule_suite():
                     defect = axiom_defect(module, axiom_id, u, v, w, N)
                     if defect.is_zero():
                         continue
-                    depth = max(axiom_window_depth(module, axiom_id, u, v, w, N,
-                                                   margin=1),
+                    depth = max(axiom_window_depth(module, axiom_id, u, v, w, N) - 1,
                                 defect.max_depth() + 1)
                     cert = bimodule_context(module, N, depth).membership(defect)
                     if not cert.certified:

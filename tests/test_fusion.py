@@ -101,6 +101,7 @@ def test_rank_mod_p_is_the_exact_rank(monkeypatch, triple, N, window, offered, r
             self.offered = 0
 
         def insert(self, row):
+            assert all(type(c) is int for c in row.values())
             self.offered += 1
             return super().insert(row)
 

@@ -354,13 +354,18 @@ def test_mod_p_remainder_is_the_image_of_the_row_itself(monkeypatch):
     form = linalg.ModPEchelon()
     # the row scaled by 6 would give {0: 3, 1: 2}
     assert form.remainder({0: Fraction(1, 2), 1: Fraction(1, 3)}) == {0: 4, 1: 5}
-    assert form.insert({0: Fraction(1), 2: Fraction(1, 2)})   # stored as {0: 2, 2: 1}
+    assert form.insert({0: 2, 2: 1})
+    # any integers with the same image mod 7 leave the same rows
+    other = linalg.ModPEchelon()
+    assert other.insert({0: 9, 2: -6}) and other.rows == form.rows
     # e_1/3 + e_2 - (2 e_0 + e_2) = 5 e_1 + 5 e_0; scaled by 3 it would be e_1 + e_0
     assert form.remainder({1: Fraction(1, 3), 2: Fraction(1)}) == {0: 5, 1: 5}
     assert form.remainder({0: Fraction(2), 2: Fraction(1)}) == {}
     assert form.remainder({1: Fraction(1, 14)}) is None
+    assert linalg.image_mod_p({1: Fraction(1, 14)}) is None
     monkeypatch.setattr(linalg, "P", 5)
     assert form.remainder({1: Fraction(1, 14)}) == {1: 4}
+    assert linalg.image_mod_p({1: Fraction(1, 14)}) == {1: 4}
 
 
 def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
@@ -377,7 +382,7 @@ def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
     assert set(ech.rows) == {1} and set(ech.rows_p.rows) == {0}
     # e_0 is its own exact remainder, but reduces to zero mod 3
     assert ech.remainder({0: Fraction(1)}) == {0: 1}
-    assert not ech.rows_p.copy().insert({0: Fraction(1)})
+    assert not ech.rows_p.copy().insert({0: 1})
     assert ech.rows_p.remainder({0: 1}) == {}
     assert ech.rows_p.remainder({1: 1}) == {1: 1}
     # the exact coset representatives (a window's cosets()) against the mod-P ones
