@@ -179,8 +179,10 @@ def cmd_fusion(args):
     return 0
 
 
-# reduce's deepest default window: a cold heisenberg N=0 window took 10.8 s
-# at depth 12, 62 s at 14 and over 200 s at 16 on a 2-core x86 VM
+# reduce's deepest default window.  A cold `zhu-table --algebra heisenberg
+# --n 0` takes about 1 s at depth 12, 3-4 s at 14 and 11-12 s at 16 on a
+# 2-core x86 VM (Python 3.11); the cap stays at 12, since raising it would
+# change which elements reduce accepts without a --depth
 MAX_DEFAULT_DEPTH = 12
 
 

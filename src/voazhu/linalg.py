@@ -12,9 +12,7 @@ reduced row's scale instead of the stored rows' combos.
 
 The exact form is a plain echelon form, not a reduced one, keyed by pivot
 column: an insert only adds a row and its combo under a new pivot, and
-never touches a stored one.  Copying the map is therefore enough to fork an
-echelon form, and the fork and the original share every row they have in
-common (``SparseEchelon.copy``, growing a ``WindowSubspace``).
+never touches a stored one.
 
 Most rows offered to an ideal window add no rank, so ``insert_rational``
 clears a row's denominators once (``integer_row``, the only place that
@@ -41,7 +39,6 @@ representatives.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -126,12 +123,6 @@ class ModPEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "ModPEchelon":
-        """An independent form that shares this one's row dicts."""
-        new = ModPEchelon()
-        new.rows = dict(self.rows)
-        return new
-
     def _reduce(self, r: dict) -> dict:
         """r, a row mod P, reduced in place to the columns that are no pivot."""
         rows = self.rows
@@ -143,8 +134,7 @@ class ModPEchelon:
         """Add an integer row's image mod P; returns True if it increased the rank.
 
         The entries may have any sign and size.  The new row, made monic, is
-        cleared from the stored rows; a stored row that changes is replaced,
-        never edited: ``copy`` shares them.
+        cleared from the stored rows in place.
         """
         r = self._reduce({k: x for k, v in row.items() if (x := v % P)})
         if not r:
@@ -152,13 +142,11 @@ class ModPEchelon:
         lead = max(r)
         inv = pow(r[lead], -1, P)
         new = {k: v * inv % P for k, v in r.items()}
-        rows = self.rows
-        for col, prow in rows.items():
+        for prow in self.rows.values():
             c = prow.get(lead)
             if c:
-                rows[col] = out = dict(prow)
-                _sub_p(out, c, new)
-        rows[lead] = new
+                _sub_p(prow, c, new)
+        self.rows[lead] = new
         return True
 
     def remainder(self, row: dict) -> dict | None:
@@ -196,12 +184,6 @@ class SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def copy(self) -> "SparseEchelon":
-        """An independent echelon form that shares this one's row dicts."""
-        new = copy.copy(self)
-        new.rows, new.rows_p = dict(self.rows), self.rows_p.copy()
-        return new
 
     def _eliminate(self, r: dict, combo: dict, track: bool = True) -> tuple:
         """Clear r's pivot leads, highest first: r <- a*r - b*row with the
@@ -276,29 +258,23 @@ class WindowSubspace:
     membership answers come with the exact rational combination of
     generators that reproduces the queried vector.  The columns that are
     no pivot, ``cosets()``, are the coset representatives of the quotient.
-
-    ``base`` grows a subspace of a shallower window of the same module onto
-    this one: its generators and echelon rows are taken over and ``base``
-    itself is left unchanged.  The window basis is ordered by depth, so a
-    shallower basis is a prefix of a deeper one and the base's column
-    indices stay valid.
     """
 
-    def __init__(self, module: GenModule, depth: int, base: "WindowSubspace | None" = None):
+    def __init__(self, module: GenModule, depth: int):
         self.module = module
         self.depth = depth
         self.basis = basis_window(module, depth)
         self.index = {bv: i for i, bv in enumerate(self.basis)}
-        if base is None:
-            self.ech = SparseEchelon()
-            self.gens: list[GradedVector] = []
-        else:
-            if base.module is not module or base.depth > depth:
-                raise ValueError("a subspace only grows onto a deeper window of its module")
-            self.ech = base.ech.copy()
-            self.gens = list(base.gens)
+        self.ech = SparseEchelon()
+        self.gens: list[GradedVector] = []
 
     def row_of(self, gv: GradedVector) -> dict:
+        """gv as a row over the window's columns.  Raises ``ValueError`` for a
+        vector of another module and ``WindowOverflowError`` for one deeper
+        than the window."""
+        if gv.module.module_id != self.module.module_id:
+            raise ValueError(f"a vector of {gv.module.module_id} in a window of "
+                             f"{self.module.module_id}")
         row = {}
         for bv, c in gv.terms.items():
             i = self.index.get(bv)

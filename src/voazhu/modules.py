@@ -50,7 +50,7 @@ class GenModule:
         self.algebra = algebra if algebra is not None else self
         self.min_part = min_part
         self._gen_cache: dict = {}
-        self._windows: dict = {}   # (class, N, families) -> {depth: window}
+        self._windows: dict = {}   # (class, N, families, depth) -> window
         self._residues: dict = {}  # (mode, terms) -> {(u_bv, w_bv): zhu.residue}
         self._modes = ModeTable(self.algebra, self, self, self._vacuum_mode)
         self._mode_cache = self._modes.memo

@@ -197,44 +197,39 @@ class IdealWindow:
     the "circ" span alone (the lowest-weight family is *not* killed in
     general; see the discrepancy notes in the tests).
 
-    ``base``, a window for the same (W, N, families) at a shallower depth,
-    is grown rather than rebuilt: only the generators that are new at
-    depth D are enumerated and eliminated.  ``base`` itself is left
-    unchanged.
+    A window is a function of (W, N, families, D) alone: it is built from
+    exactly its own generators, in one fixed order, so its rows, witnesses
+    and labels do not depend on which other windows exist.
     """
 
     def __init__(self, module: GenModule, N: int, depth: int,
-                 families: tuple = IDEAL_FAMILIES,
-                 base: "IdealWindow | None" = None):
+                 families: tuple = IDEAL_FAMILIES):
         families = tuple(families)
         if not set(families) <= set(IDEAL_FAMILIES):
             raise ValueError(f"unknown generator families in {families}")
-        if base is not None and (base.N, base.families) != (N, families):
-            raise ValueError("a window only grows from a window of the same N and families")
         self.module = module
         self.algebra: VOAlgebra = module.algebra
         self.N = N
         self.depth = depth
         self.families = families
-        self.subspace = WindowSubspace(module, depth, base.subspace if base else None)
-        self.labels: list[str] = list(base.labels) if base else []
-        self._enumerate(base.depth if base else 0)
+        self.subspace = WindowSubspace(module, depth)
+        self.labels: list[str] = []
+        self._enumerate()
 
-    def _enumerate(self, have: int) -> None:
-        """Add the generators of depth D that the depth-``have`` window lacks."""
+    def _enumerate(self) -> None:
+        """Add the generators that fit in depth D, "lp" before "circ"."""
         mod, alg, N, D = self.module, self.algebra, self.N, self.depth
         if "lp" in self.families:
             # (L(-1) + L(0)_s) w tops out at depth w + 1
-            for b in range(have, D):
+            for b in range(D):
                 for w_bv in mod.basis_at_depth(b):
                     w = GradedVector(mod, {w_bv: 1})
                     self._add(lp_element(mod, w), f"lp[{w_bv}]")
         if "circ" in self.families:
             # residues ordered by (wt u, depth w); one tops out at depth
-            # wt u + depth w + 2N + 1, so the depth-``have`` window holds those
-            # with wt u + depth w + 2N + 1 <= have
+            # wt u + depth w + 2N + 1
             for a in range(1, D + 1):
-                for b in range(max(0, have - a - 2 * N), D - a - 2 * N):
+                for b in range(D - a - 2 * N):
                     for u_bv in alg.basis_at_depth(a):
                         u = GradedVector(alg, {u_bv: 1})
                         for w_bv in mod.basis_at_depth(b):
@@ -280,17 +275,14 @@ class IdealWindow:
 def owned_window(cls, module: GenModule, N: int, depth: int, families: tuple):
     """The ``cls`` window of (N, families) at depth, cached on ``module`` itself.
 
-    The first request for a depth grows the deepest window of the same key
-    that the instance holds at a shallower depth (or builds from nothing).
-    A depth is never answered from a deeper window, so each depth stays the
-    span of exactly its own generators, whatever the order of requests.
+    Each depth is built once from its own generators and never answered
+    from another depth's window, so it is the same whatever the order of
+    requests.
     """
-    windows = module._windows.setdefault((cls, N, families), {})
-    ctx = windows.get(depth)
+    key = (cls, N, families, depth)
+    ctx = module._windows.get(key)
     if ctx is None:
-        base = max((d for d in windows if d < depth), default=None)
-        ctx = windows[depth] = cls(module, N, depth, families,
-                                   None if base is None else windows[base])
+        ctx = module._windows[key] = cls(module, N, depth, families)
     return ctx
 
 

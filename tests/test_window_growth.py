@@ -1,9 +1,10 @@
-"""Ideal windows grown from a shallower window equal windows built fresh.
+"""An ideal window is a function of (module, N, families, depth).
 
-A depth-D context grown from a depth-D' context (D' < D) takes over the
-shallower generators and echelon rows and adds only the new generators.
-It must span exactly what a fresh depth-D build spans, leave its base
-untouched, and not depend on the order in which depths are requested.
+A depth-D window is built from exactly its own generators, in one fixed
+order, and cached per depth on the module instance.  Its rows, rows mod P,
+generators and labels, and so every answer it gives, must not depend on
+the order in which depths are requested, and a window must only read
+vectors of its own module.
 """
 
 import json
@@ -15,26 +16,17 @@ from fractions import Fraction
 import pytest
 
 from voazhu.basis import GradedVector
-from voazhu.bimodule import (BimoduleContext, bimodule_context,
+from voazhu.bimodule import (bimodule_context, certify_bimodule_membership,
                              intertwiner_ideal_context)
 from voazhu.heisenberg import FockModule, HeisenbergVOA
-from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
+from voazhu.instances import fock, heisenberg_voa
 from voazhu.modules import basis_window
-from voazhu.zhu import ZhuContext, zhu_context
+from voazhu.virasoro import VermaModule, VirasoroVOA
+from voazhu.zhu import ZhuContext, lp_element, zhu_context
 
 CASES = [
     ("heis", 0), ("vir", 0), ("vir", 1), ("fock", 1), ("verma", 1),
 ]
-FIRST_DEPTH = 4
-
-
-def _module(name):
-    return {"heis": heisenberg_voa, "vir": lambda: virasoro_voa("1/2"),
-            "fock": lambda: fock(1), "verma": lambda: verma("1/2", "1/16")}[name]()
-
-
-def _context_class(module):
-    return ZhuContext if module.algebra is module else BimoduleContext
 
 
 def _seeded_vectors(module, depth, rng, count=6):
@@ -71,24 +63,9 @@ def _answers(ctx, probes):
     }
 
 
-def _probes(fresh, depth, seed):
+def _probes(ctx, depth, seed):
     rng = random.Random(seed)
-    module = fresh.module
-    return _seeded_vectors(module, depth, rng) + _ideal_vectors(fresh, rng)
-
-
-@pytest.mark.parametrize("name,N", CASES)
-def test_grown_window_equals_fresh(name, N):
-    module = _module(name)
-    cls = _context_class(module)
-    grown = None
-    for depth in range(FIRST_DEPTH, FIRST_DEPTH + 5):
-        grown = cls(module, N, depth, base=grown)
-        fresh = cls(module, N, depth)
-        probes = _probes(fresh, depth, seed=depth)
-        assert _answers(grown, probes) == _answers(fresh, probes)
-        if fresh.subspace.gens:
-            assert "certified" in _answers(grown, probes)["status"]
+    return _seeded_vectors(ctx.module, depth, rng) + _ideal_vectors(ctx, rng)
 
 
 def _snapshot(ctx):
@@ -104,37 +81,41 @@ def _snapshot(ctx):
     }
 
 
-@pytest.mark.parametrize("name,N", [("heis", 0), ("fock", 1)])
-def test_growing_leaves_the_base_unchanged(name, N):
-    module = _module(name)
-    cls = _context_class(module)
-    base = cls(module, N, 5)
-    before = _snapshot(base)
-    probes = _probes(base, 5, seed=1)
-    statuses = [base.membership(x).status for x in probes]
-    deeper = cls(module, N, 7, base=base)
-    deepest = cls(module, N, 9, base=deeper)
-    assert deepest.subspace.rank > deeper.subspace.rank > base.subspace.rank
-    assert _snapshot(base) == before
-    assert [base.membership(x).status for x in probes] == statuses
-
-
 def _fresh_module(name):
     """An instance of its own, so it holds no windows yet."""
-    heis = HeisenbergVOA()
-    return {"heis": heis, "fock": FockModule(heis, 1)}[name]
+    return {"heis": HeisenbergVOA, "vir": lambda: VirasoroVOA(Fraction(1, 2)),
+            "fock": lambda: FockModule(HeisenbergVOA(), 1),
+            "verma": lambda: VermaModule(VirasoroVOA(Fraction(1, 2)), Fraction(1, 16)),
+            }[name]()
 
 
-@pytest.mark.parametrize("name,N", [("heis", 0), ("fock", 1)])
+def _builders(module):
+    """The window constructors of a module: O_N(V) for an algebra; O_N(W)
+    and its "circ" span alone for a module."""
+    if module.algebra is module:
+        return [zhu_context]
+    return [bimodule_context, intertwiner_ideal_context]
+
+
+# "direct" builds each depth on an instance of its own; the others request
+# every depth, in turn, on one instance
+ORDERS = {"direct": None, "ascending": (4, 6, 8), "descending": (8, 6, 4)}
+
+
+@pytest.mark.parametrize("name,N", CASES)
 def test_answers_do_not_depend_on_request_order(name, N):
-    results = []
-    for order in ((6, 8, 10), (8, 6, 10)):
-        module = _fresh_module(name)
-        build = zhu_context if module.algebra is module else bimodule_context
-        contexts = {d: build(module, N, d) for d in order}
-        results.append({d: _answers(contexts[d], _probes(contexts[d], d, seed=d))
-                        for d in sorted(contexts)})
-    assert results[0] == results[1]
+    results = {}
+    for order, depths in ORDERS.items():
+        shared = _fresh_module(name)
+        windows = {}
+        for d in depths or ORDERS["ascending"]:
+            module = shared if depths else _fresh_module(name)
+            for build in _builders(module):
+                windows[build.__name__, d] = build(module, N, d)
+        results[order] = {key: (_snapshot(ctx), _answers(ctx, _probes(ctx, key[1], seed=key[1])))
+                          for key, ctx in sorted(windows.items())}
+    assert results["ascending"] == results["direct"]
+    assert results["descending"] == results["direct"]
 
 
 def test_cache_never_answers_from_a_deeper_window():
@@ -148,13 +129,13 @@ def test_cache_never_answers_from_a_deeper_window():
 
 def test_instances_sharing_a_module_id_never_share_a_window():
     """Windows live on the instance: a second instance with the same
-    module_id builds its own, and growing one leaves the other alone."""
+    module_id builds its own, and building one's leaves the other's alone."""
     shared, other = heisenberg_voa(), HeisenbergVOA()
     assert other.module_id == shared.module_id and other is not shared
     mine = zhu_context(other, 0, 5)
     assert mine is not zhu_context(shared, 0, 5)
     assert mine.module is other
-    before = {key: dict(windows) for key, windows in shared._windows.items()}
+    before = dict(shared._windows)
     assert zhu_context(other, 0, 7).module is other
     assert shared._windows == before
     W = FockModule(other, 1)
@@ -164,21 +145,27 @@ def test_instances_sharing_a_module_id_never_share_a_window():
     assert bimodule_context(W, 0, 5).module is W
 
 
-def test_growth_only_onto_a_deeper_window_of_the_same_module():
-    """A base of another module, depth, N or family tuple would leave the
-    grown window with generators that are not its own; so would a family
-    the window does not enumerate."""
-    heis = heisenberg_voa()
+def test_a_window_rejects_another_modules_vector():
+    """A vector of another module is an error, not a vector outside the
+    window: ``certify`` reads only an overflow as Inconclusive.  A second
+    instance with the same module id is the same module."""
+    x = lp_element(fock(1), fock(1).lw())
+    with pytest.raises(ValueError, match="fock"):
+        bimodule_context(fock(2), 0, 4).membership(x)
     with pytest.raises(ValueError):
-        ZhuContext(heis, 0, 4, base=ZhuContext(heis, 0, 6))
+        certify_bimodule_membership(fock(2), 0, x, 2)
     with pytest.raises(ValueError):
-        BimoduleContext(fock(1), 0, 6, base=BimoduleContext(fock(2), 0, 4))
+        zhu_context(heisenberg_voa(), 0, 4).membership(fock(1).lw())
+    other = HeisenbergVOA()
+    assert zhu_context(heisenberg_voa(), 0, 5).membership(
+        lp_element(other, other.alpha())).certified
+    W = FockModule(other, 1)
+    assert bimodule_context(fock(1), 0, 5).membership(lp_element(W, W.lw())).certified
+
+
+def test_unknown_generator_families_are_rejected():
     with pytest.raises(ValueError):
-        ZhuContext(heis, 1, 6, base=ZhuContext(heis, 0, 4))
-    with pytest.raises(ValueError):
-        BimoduleContext(fock(1), 0, 6, base=BimoduleContext(fock(1), 0, 4, ("circ",)))
-    with pytest.raises(ValueError):
-        ZhuContext(heis, 0, 4, ("lp", "circ", "circ_n"))
+        ZhuContext(heisenberg_voa(), 0, 4, ("lp", "circ", "circ_n"))
 
 
 TAMPER_SCRIPT = r"""
