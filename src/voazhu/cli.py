@@ -4,7 +4,8 @@ Subcommands:
   verify-identities   exact binomial-identity families
   zhu-table           windowed quotient table for an algebra at level N
   axioms              full seeded check suite, JSON report
-  fusion              fusion-dimension upper bounds for Fock triples
+  fusion              fusion-dimension upper bounds for three modules over
+                      one algebra
   reduce              canonical representative of an element mod the
                       windowed ideal span
 

@@ -52,6 +52,7 @@ class GenModule:
         self._gen_cache: dict = {}
         self._windows: dict = {}   # (class, N, families, depth) -> window
         self._residues: dict = {}  # (mode, terms) -> {(u_bv, w_bv): zhu.residue}
+        self._lp_elements: dict = {}  # w_bv -> zhu.lp_element
         self._modes = ModeTable(self.algebra, self, self, self._vacuum_mode)
         self._mode_cache = self._modes.memo
         self._ywv_modes = ModeTable(self, self.algebra, self, self._ywv_bottom)

@@ -112,13 +112,30 @@ def circ_residue(module: GenModule, u: GradedVector, w: GradedVector,
 
 
 def lp_element(module: GenModule, w: GradedVector) -> GradedVector:
-    """(L(-1) + L(0)_s) w, the second family of ideal generators."""
-    omega = module.algebra.omega()
-    lm1 = module.mode_action(omega, 0, w)
-    l0 = module.zero()
-    for wt, comp in w.homogeneous_components().items():
-        l0 = l0 + comp * wt
-    return lm1 + l0
+    """(L(-1) + L(0)_s) w, the second family of ideal generators.
+
+    The value on a basis vector is computed once and memoized on the module;
+    w is expanded over it linearly, so a unit basis vector gets the memo
+    entry itself, not a copy, and callers must not edit what it returns.
+    """
+    memo = module._lp_elements
+
+    def entry(w_bv):
+        hit = memo.get(w_bv)
+        if hit is None:
+            unit = GradedVector._of(w.module, {w_bv: 1})
+            hit = memo[w_bv] = (module.mode_action(module.algebra.omega(), 0, unit)
+                                + unit * (w.module.lowest_weight + w_bv.depth))
+        return hit
+
+    if len(w.terms) == 1:
+        (w_bv, c), = w.terms.items()
+        if c == 1:
+            return entry(w_bv)
+    acc: dict = {}
+    for w_bv, c in w.terms.items():
+        accumulate(acc, entry(w_bv), c)
+    return GradedVector._of(module, acc)
 
 
 def o_action(module: GenModule, u: GradedVector, w: GradedVector) -> GradedVector:

@@ -175,6 +175,28 @@ GOLDEN_STDOUT = {
                "e083513893bc1682d1bc6abe2ea7e719b5648b5d2e688bace3d29b0fdd5fdefe"),
     "axioms": (["axioms", "--seed", "42", "--n", "0,1"],
                "8e522940a71872a127650ffcee050db2bff086f9b30a9fdcbbdca3b5d65dbbc5"),
+    "zhu-table-heisenberg": (["zhu-table", "--algebra", "heisenberg", "--depth", "6"],
+                             "5c33a3eac6f00e7066da11bfdec08dbb3d960dc811b45b504c9bb6027a994bca"),
+    "fusion-n0": (["fusion", "--w1", "fock:1", "--w2", "fock:2", "--w3", "fock:3",
+                   "--window", "4,6"],
+                  "726810c2301c45e226cf2aa93a4c4e4f820a26d223e50207be11eb19ec0fe720"),
+    "fusion-verma-n0": (["fusion", "--w1", "verma:c=1/2,h=1/16", "--w2", "verma:c=1/2,h=1/16",
+                         "--w3", "verma:c=1/2,h=0", "--window", "4,6"],
+                        "20239c2acea278c263991c50e544f1e5d76525cabcd22987405fd79cedc9e479"),
+    "fusion-half": (["fusion", "--w1", "fock:1/2", "--w2", "fock:1/2", "--w3", "fock:1",
+                     "--window", "6,8"],
+                    "2bd006e3bfb3a4ace32dd79a785b6f1fc799679f1561f78ffabc8b8e42726bf1"),
+    "fusion-124": (["fusion", "--w1", "fock:1", "--w2", "fock:2", "--w3", "fock:4",
+                    "--n", "1", "--window", "8,10"],
+                   "a6d9f7673470d239c064b8c3d2d1f5be8e44bec14600ac7833a1f5a04be8d1b7"),
+    "axioms-seed7": (["axioms", "--seed", "7", "--n", "0,1"],
+                     "aa858f1917d9df39032df5d2ed9defa6646d49b9572fb4c7ed5ab17cff8c4d1d"),
+    "reduce-n0": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "0"],
+                  "6fc3cc716e58405c00a8d974bba722a4f428e5068120b2a034b9717a1aa8027b"),
+    # a certified witness with denominators 2, 4, 6 and 12, re-multiplied in integers
+    "reduce-virasoro": (["reduce", "{element_vir}", "--algebra", "virasoro:c=1/2", "--n", "1",
+                         "--depth", "8"],
+                        "d2f662fcb698ad6a850328a19aee845d5264f4a71a75e13be82293a35bfcb63b"),
 }
 
 
@@ -182,8 +204,10 @@ GOLDEN_STDOUT = {
 def test_cli_stdout_is_frozen(name, tmp_path, src_env):
     elem = tmp_path / "element.json"
     elem.write_text(json.dumps([["a(-2)", "1"], ["a(-1)", "1"]]))
+    elem_vir = tmp_path / "element-vir.json"
+    elem_vir.write_text(json.dumps([["L(-6)", "1"], ["L(-2)", "-5"]]))
     argv, digest = GOLDEN_STDOUT[name]
-    argv = [a.format(element=elem) for a in argv]
+    argv = [a.format(element=elem, element_vir=elem_vir) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "voazhu.cli", *argv], capture_output=True,
                           env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr

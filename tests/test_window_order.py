@@ -25,7 +25,7 @@ from voazhu.virasoro import VermaModule, VirasoroVOA
 from voazhu.zhu import ZhuContext, lp_element, zhu_context
 
 CASES = [
-    ("heis", 0), ("vir", 0), ("vir", 1), ("fock", 1), ("verma", 1),
+    ("heis", 0), ("heis", 1), ("vir", 0), ("vir", 1), ("fock", 0), ("fock", 1), ("verma", 1),
 ]
 
 

@@ -10,10 +10,12 @@ import pytest
 
 from oracles import dense_rref, residue_oracle, star_oracle, ywv_residue_oracle
 from voazhu import GradedVector
+from voazhu.heisenberg import FockModule, HeisenbergVOA
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.intertwiner import TableIntertwiner, induced_hom
 from voazhu.ops import ywv_mode
 from voazhu.sampling import SampleStream
+from voazhu.virasoro import VermaModule, VirasoroVOA
 from voazhu.zhu import (certify_membership, circ_residue, lp_element,
                         circ_terms, o_action, omega0_basis, residue,
                         star_alt_terms, star_product, star_terms, zhu_context)
@@ -212,6 +214,34 @@ def test_deep_residues_lie_in_the_window(name, N, D):
 def test_lp_element_example(heis):
     assert lp_element(heis, heis.alpha()) == (heis.monomial([("a", -2)])
                                               + heis.monomial([("a", -1)]))
+
+
+def _lp_unmemoized(module, w):
+    """(L(-1) + L(0)_s) w over the homogeneous components of w."""
+    out = module.mode_action(module.algebra.omega(), 0, w)
+    for wt, comp in w.homogeneous_components().items():
+        out = out + comp * wt
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FockModule(HeisenbergVOA(), Fraction(1, 2)),
+    lambda: VermaModule(VirasoroVOA(Fraction(1, 2)), Fraction(1, 16)),
+], ids=["fock(1/2)", "verma(1/2,1/16)"])
+def test_lp_element_is_memoized_per_basis_vector(make):
+    """A unit basis vector gets the memo entry itself, and every vector gets
+    (L(-1) + L(0)_s) w, the memo entries left unchanged."""
+    W = make()
+    units = [GradedVector(W, {bv: 1}) for d in range(4) for bv in W.basis_at_depth(d)]
+    entries = [lp_element(W, w) for w in units]
+    before = [dict(v.terms) for v in entries]
+    for w, v in zip(units, entries):
+        assert v == _lp_unmemoized(W, w)
+        assert lp_element(W, GradedVector(W, dict(w.terms))) is v
+    x = units[0] * 3 - units[2] * Fraction(2, 7) + units[-1]
+    assert lp_element(W, x) == _lp_unmemoized(W, x)
+    assert lp_element(W, units[1] * 2) == entries[1] * 2
+    assert [dict(v.terms) for v in entries] == before
 
 
 def test_ideal_window_examples(heis):
