@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-Row reduction is fraction-free: a row is scaled to integers once, and
-eliminations use cross-multiplication followed by a gcd strip, so no
-rational arithmetic happens inside the one elimination loop
-(``SparseEchelon._eliminate``) that inserts and reductions share.  Every
-stored row carries its combo, the combination of the input rows it
-equals, which turns a reduction into a membership witness.  A caller that
-needs only the canonical representative asks for
+Row reduction is fraction-free: a row is scaled to integers once, and an
+elimination step subtracts an integer multiple of the pivot row in place
+when the pivot's lead divides the row's, and otherwise cross-multiplies
+and strips a gcd, so no rational arithmetic happens inside the one
+elimination loop (``SparseEchelon._eliminate``) that inserts and
+reductions share.  Every stored row carries its combo, the combination of
+the input rows it equals, which turns a reduction into a membership
+witness.  A caller that needs only the canonical representative asks for
 ``SparseEchelon.remainder``: the same elimination, carrying only the
 reduced row's scale instead of the stored rows' combos.
 
@@ -71,6 +72,16 @@ def _sub_p(r: dict, c: int, row: dict) -> None:
     """r <- r - c*row mod P, in place, dropping zeros."""
     for k, v in row.items():
         s = (r.get(k, 0) - c * v) % P
+        if s:
+            r[k] = s
+        else:
+            del r[k]
+
+
+def _sub(r: dict, q: int, row: dict) -> None:
+    """r <- r - q*row over int dicts, in place, dropping zeros; q is nonzero."""
+    for k, v in row.items():
+        s = r.get(k, 0) - q * v
         if s:
             r[k] = s
         else:
@@ -176,7 +187,8 @@ class SparseEchelon:
 
     def __init__(self):
         # pivot column -> (row, combo over input indices); not primitive:
-        # the gcd is stripped from a row and its combo together
+        # a cross-multiplying step strips the gcd from a row and its combo
+        # together, a subtracting step strips none
         self.rows: dict[int, tuple[dict, dict]] = {}
         self.rows_p = ModPEchelon()
         self.n_inserted = 0
@@ -186,9 +198,14 @@ class SparseEchelon:
         return len(self.rows)
 
     def _eliminate(self, r: dict, combo: dict, track: bool = True) -> tuple:
-        """Clear r's pivot leads, highest first: r <- a*r - b*row with the
-        combo alongside, then strip their joint gcd.  Stops at r = 0 or at a
-        lead that is no pivot; returns the new (r, combo).
+        """Clear r's pivot leads, highest first, with the combo alongside.
+        For a pivot row with lead a and r's lead b: if a divides b, r <-
+        r - (b//a)*row, in place; otherwise r <- a*r - b*row, then strip
+        the joint gcd of r and its combo.  Either way (r, combo) changes by
+        the same factor, so the remainder and witness it gives do not
+        depend on which step was taken.  The stored rows are never written.
+        Stops at r = 0 or at a lead that is no pivot; returns the new (r,
+        combo), which may be the dicts passed in.
 
         With ``track`` off the stored rows' combos are left out: the combo
         only follows the scale of its own entries, such as r's scale under
@@ -201,9 +218,15 @@ class SparseEchelon:
                 break
             prow, pcombo = hit
             a, b = prow[lead], r[lead]
-            r = _combine(r, prow, a, -b)
-            combo = _combine(combo, pcombo if track else {}, a, -b)
-            _strip_gcd(r, combo)
+            if b % a:
+                r = _combine(r, prow, a, -b)
+                combo = _combine(combo, pcombo if track else {}, a, -b)
+                _strip_gcd(r, combo)
+            else:
+                q = b // a
+                _sub(r, q, prow)
+                if track:
+                    _sub(combo, q, pcombo)
         return r, combo
 
     def _append(self, r: dict, combo: dict) -> None:

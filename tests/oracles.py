@@ -4,6 +4,7 @@ Each oracle recomputes a quantity along a different route than the library
 takes: series bookkeeping instead of closed-form binomial sums, direct
 normal-ordered quadratic expressions instead of the iterate recursion,
 dense Fraction elimination instead of fraction-free sparse elimination,
+plain Fraction reduction and witnesses instead of integer steps,
 exact elimination alone instead of behind the mod-P rank filter, the
 fusion system over Q instead of mod P.  Expected values frozen in the test files were produced by these.
 """
@@ -141,6 +142,58 @@ def dense_rref(rows, ncols):
         pivots.append(col)
         rank += 1
     return rank, pivots
+
+
+class FractionEchelon:
+    """``SparseEchelon``'s insert, reduce and remainder by plain Fraction
+    elimination: no integer scaling, no gcd, no mod-P filter.  A stored row
+    is monic at its pivot, its highest column, and zero at every pivot
+    column known when it was stored; it carries its combination of the
+    input rows.  A row that adds no rank is dropped but consumes an index.
+    The remainder and the witness over the rows that added rank are unique,
+    so they must equal ``SparseEchelon``'s."""
+
+    def __init__(self):
+        self.rows = {}   # pivot column -> (monic row, combo over input indices)
+        self.n_inserted = 0
+
+    def _reduce(self, row):
+        """(remainder off the pivot columns, combo of stored inputs) with
+        row = combo's combination of the inputs + remainder."""
+        r = {k: Fraction(v) for k, v in row.items() if v}
+        combo, rem = {}, {}
+        while r:
+            lead = max(r)
+            if lead not in self.rows:
+                rem[lead] = r.pop(lead)
+                continue
+            prow, pcombo = self.rows[lead]
+            c = r[lead]
+            for target, src, sign in ((r, prow, -1), (combo, pcombo, 1)):
+                for k, v in src.items():
+                    target[k] = target.get(k, 0) + sign * c * v
+                    if not target[k]:
+                        del target[k]
+        return rem, combo
+
+    def insert(self, row) -> bool:
+        key = self.n_inserted
+        self.n_inserted += 1
+        rem, combo = self._reduce(row)
+        if not rem:
+            return False
+        lead = rem[max(rem)]
+        combo = {i: -c for i, c in combo.items()}
+        combo[key] = Fraction(1)
+        self.rows[max(rem)] = ({k: v / lead for k, v in rem.items()},
+                               {i: c / lead for i, c in combo.items()})
+        return True
+
+    def reduce(self, row):
+        return self._reduce(row)
+
+    def remainder(self, row):
+        return self._reduce(row)[0]
 
 
 def plain_exact(rows):

@@ -1,12 +1,13 @@
 """Fraction-free echelon forms against a dense Fraction elimination oracle,
 and the mod-P rank filter in front of them."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rref, plain_exact
+from oracles import FractionEchelon, dense_rref, plain_exact
 from voazhu import linalg
 from voazhu.bimodule import action_swap_defect, bimodule_context, commutator_defect
 from voazhu.errors import WindowOverflowError
@@ -120,6 +121,106 @@ def test_reduce_remainder_does_not_depend_on_insertion_order(seed):
         probe = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for c in range(7)}
         probe = {c: v for c, v in probe.items() if v}
         assert forms[0].reduce(dict(probe))[0] == forms[1].reduce(dict(probe))[0]
+
+
+# --- the two-case elimination step -----------------------------------------
+
+# pivot leads: units, divisors of PROBE_LEADS and non-divisors of them
+PIVOT_LEADS = (1, -1, 2, -3, 4, -6, 5, -7)
+PROBE_LEADS = (12, -12, 6, -18, 1, -1)
+NCOLS = 14
+
+
+def _integer_rows(rng, leads, ncols):
+    """One integer row per lead, each with its highest column drawn at
+    random and that lead there, dense below it."""
+    rows = []
+    for lead in leads:
+        top = rng.randrange(ncols)
+        row = {c: v for c in range(top) if (v := rng.randint(-9, 9))}
+        row[top] = lead
+        rows.append(row)
+    return rows
+
+
+def _two_case_form(rng):
+    """A SparseEchelon and its FractionEchelon oracle over the same seeded
+    integer rows: one with each pivot lead at its own column, then rows
+    whose leads may land on pivots already stored, then combinations of
+    those, which add no rank; the span stays short of every column."""
+    rows = [{**{c: rng.randint(-9, 9) for c in range(col)}, col: lead}
+            for col, lead in zip(rng.sample(range(NCOLS), len(PIVOT_LEADS)), PIVOT_LEADS)]
+    rows += _integer_rows(rng, rng.choices(PIVOT_LEADS + PROBE_LEADS, k=3), NCOLS)
+    rows += [_rebuild(rows, {i: rng.choice((-2, -1, 1, 3)) for i in rng.sample(range(len(rows)), 3)})
+             for _ in range(2)]
+    ech, oracle = SparseEchelon(), FractionEchelon()
+    gains = [ech.insert_rational({k: Fraction(v) for k, v in r.items() if v}) for r in rows]
+    assert gains == [oracle.insert(r) for r in rows]
+    assert set(ech.rows) == set(oracle.rows)
+    return rows, ech, oracle
+
+
+def _probes(rng, rows):
+    """Integer rows outside the span and integer combinations in it."""
+    probes = _integer_rows(rng, PROBE_LEADS * 2, NCOLS)
+    probes += [_rebuild(rows, {i: rng.choice((-3, -2, -1, 1, 2, 3))
+                               for i in rng.sample(range(len(rows)), 3)}) for _ in range(6)]
+    return [{k: Fraction(v) for k, v in p.items()} for p in probes if p]
+
+
+def _count_steps(monkeypatch):
+    """The quotients of the subtracting steps and the number of
+    cross-multiplying ones taken by SparseEchelon from here on."""
+    quotients, cross = [], []
+    sub, combine = linalg._sub, linalg._combine
+    monkeypatch.setattr(linalg, "_sub", lambda r, q, row: quotients.append(q) or sub(r, q, row))
+    monkeypatch.setattr(linalg, "_combine",
+                        lambda *a: cross.append(1) or combine(*a))
+    return quotients, cross
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63, 64])
+def test_two_case_step_matches_fraction_oracle(monkeypatch, seed):
+    """Whether a step subtracts the quotient in place (the pivot's lead
+    divides the row's) or cross-multiplies, inserts, remainders and
+    witnesses equal the plain Fraction elimination's."""
+    rng = random.Random(seed)
+    quotients, cross = _count_steps(monkeypatch)
+    rows, ech, oracle = _two_case_form(rng)
+    zero = nonzero = 0
+    for probe in _probes(rng, rows):
+        rem, combo = ech.reduce(dict(probe))
+        assert (rem, combo) == oracle.reduce(probe)
+        assert ech.remainder(dict(probe)) == rem
+        assert _rebuild(rows, combo) == {k: probe.get(k, 0) - rem.get(k, 0)
+                                         for k in set(probe) | set(rem)
+                                         if probe.get(k, 0) != rem.get(k, 0)}
+        zero += not rem
+        nonzero += bool(rem)
+    assert zero and nonzero
+    # both steps ran, the subtracting one with quotients of either sign,
+    # unit and not
+    assert cross
+    assert {q > 0 for q in quotients} == {True, False}
+    assert {abs(q) == 1 for q in quotients} == {True, False}
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_elimination_never_writes_the_stored_rows(seed):
+    """reduce and remainder leave every stored row and combo as it was, and
+    an insert only adds a row under a new pivot."""
+    rng = random.Random(seed)
+    rows, ech, _ = _two_case_form(rng)
+    snapshot = copy.deepcopy((ech.rows, ech.rows_p.rows))
+    for _ in range(5):
+        for probe in _probes(rng, rows):
+            for call in (ech.reduce, ech.remainder):
+                call(dict(probe))
+                assert (ech.rows, ech.rows_p.rows) == snapshot
+    for row in _integer_rows(rng, PROBE_LEADS, NCOLS + 2):
+        before = copy.deepcopy(ech.rows)
+        ech.insert_rational({k: Fraction(v) for k, v in row.items()})
+        assert {col: ech.rows[col] for col in before} == before
 
 
 def test_window_roundtrip_and_overflow(fock_one):

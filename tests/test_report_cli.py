@@ -191,6 +191,9 @@ GOLDEN_STDOUT = {
                    "a6d9f7673470d239c064b8c3d2d1f5be8e44bec14600ac7833a1f5a04be8d1b7"),
     "axioms-seed7": (["axioms", "--seed", "7", "--n", "0,1"],
                      "aa858f1917d9df39032df5d2ed9defa6646d49b9572fb4c7ed5ab17cff8c4d1d"),
+    # N = 2: the only pin of witness sizes above N = 1
+    "axioms-n2": (["axioms", "--seed", "42", "--n", "2"],
+                  "4cdb7fb0856f46e120f038c98f0e2a796625ba2cb5d2b65f7f61a83e8432f3d1"),
     "reduce-n0": (["reduce", "{element}", "--algebra", "heisenberg", "--n", "0"],
                   "6fc3cc716e58405c00a8d974bba722a4f428e5068120b2a034b9717a1aa8027b"),
     # a certified witness with denominators 2, 4, 6 and 12, re-multiplied in integers
