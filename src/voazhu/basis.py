@@ -6,11 +6,18 @@ ties broken by generator tag).  A :class:`GradedVector` is a finite rational
 linear combination of basis vectors of a single module; zero coefficients
 are never stored, and each stored coefficient is an ``int`` when integral
 and a ``Fraction`` otherwise (``formal.as_scalar``).
+
+Every linear combination of vectors is summed by a :class:`Sum`: integer
+numerators over one common denominator, raised to the lcm only when a new
+denominator arrives, and divided back once per entry when the terms are
+read.  So no ``Fraction`` is built while a sum runs, and the vectors it
+returns keep the canonical ``int | Fraction`` form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -127,12 +134,13 @@ class GradedVector:
     # --- arithmetic -------------------------------------------------------
 
     def _plus(self, other: "GradedVector", scale) -> "GradedVector":
-        """self + scale * other in one pass over other's terms."""
+        """self + scale * other, summed in one ``Sum``."""
         if other.module is not self.module and other.module.module_id != self.module.module_id:
             raise ValueError("cannot add vectors of different modules")
-        out = dict(self.terms)
-        accumulate(out, other, scale)
-        return GradedVector._of(self.module, out)
+        acc = Sum()
+        acc.add(self)
+        acc.add(other, scale)
+        return GradedVector._of(self.module, acc.terms())
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         return self._plus(other, 1)
@@ -144,9 +152,9 @@ class GradedVector:
         return GradedVector._of(self.module, {bv: -c for bv, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "GradedVector":
-        out: dict = {}
-        accumulate(out, self, scalar)
-        return GradedVector._of(self.module, out)
+        acc = Sum()
+        acc.add(self, as_scalar(scalar))
+        return GradedVector._of(self.module, acc.terms())
 
     __rmul__ = __mul__
 
@@ -168,15 +176,60 @@ class GradedVector:
         return " + ".join(parts)
 
 
-def accumulate(acc: dict, gv: GradedVector, scale=1) -> None:
-    """In-place ``acc += scale * gv`` on a plain term dictionary; a sum that
-    is integral is stored as an ``int``."""
-    c = as_scalar(scale)
-    if c == 0 or gv.is_zero():
-        return
-    for bv, c0 in gv.terms.items():
-        s = acc.get(bv, 0) + c0 * c
-        if s == 0:
-            acc.pop(bv, None)
+class Sum:
+    """A running sum of scale * vector, held as integer numerators
+    ``nums`` over one common denominator ``den``.
+
+    ``den`` is raised to the lcm, and every stored numerator rescaled, only
+    when a term arrives whose denominator does not divide it; ``terms()``
+    divides each entry back once.  No ``Fraction`` is built while adding.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self):
+        self.nums: dict = {}
+        self.den = 1
+
+    def add(self, gv: GradedVector, scale=1) -> None:
+        """self += scale * gv, for a scale that is an int or a Fraction."""
+        if type(scale) is int:
+            sd = 1
         else:
-            acc[bv] = s if type(s) is int or s.denominator != 1 else s.numerator
+            scale, sd = scale.numerator, scale.denominator
+        if not scale:
+            return
+        nums, den = self.nums, self.den
+        for bv, c in gv.terms.items():
+            if type(c) is int:
+                d = sd
+            else:
+                c, d = c.numerator, c.denominator * sd
+            if d != den:
+                if den % d:
+                    den = self._raise(d)
+                c *= den // d
+            s = nums.get(bv, 0) + c * scale
+            if s:
+                nums[bv] = s
+            else:
+                nums.pop(bv, None)
+
+    def _raise(self, d: int) -> int:
+        """Raise the common denominator to lcm(den, d); returns the new one."""
+        den = lcm(self.den, d)
+        f = den // self.den
+        nums = self.nums
+        for bv in nums:
+            nums[bv] *= f
+        self.den = den
+        return den
+
+    def terms(self) -> dict:
+        """The sum as a new dict of nonzero canonical scalars: an ``int``
+        where the value is integral, a ``Fraction`` otherwise."""
+        den = self.den
+        if den == 1:
+            return dict(self.nums)
+        return {bv: n // den if n % den == 0 else Fraction(n, den)
+                for bv, n in self.nums.items()}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import BasisVector, GradedVector, accumulate
+from .basis import BasisVector, GradedVector, Sum
 from .errors import WindowOverflowError
 from .formal import as_scalar
 from .heisenberg import TAG as HTAG
@@ -115,15 +115,16 @@ class FockIntertwiner(LogIntertwiner):
         lw1 = BasisVector(self.w1_module.module_id, ())
         if w2_bv.modes:
             (tag, m), rest = w2_bv.modes[0], BasisVector(w2_bv.module_id, w2_bv.modes[1:])
-            return (out.gen_action(tag, m, table.basis(lw1, n, rest))
-                    - table.basis(lw1, n + m, rest) * self.lam)
+            acc = Sum()
+            acc.add(out.gen_action(tag, m, table.basis(lw1, n, rest)))
+            acc.add(table.basis(lw1, n + m, rest), -self.lam)
+            return GradedVector._of(out, acc.terms())
         if d_out == 0:
             return out.lw()
-        acc: dict = {}
+        acc, scale = Sum(), self.lam / d_out
         for p in range(1, d_out + 1):
-            accumulate(acc, out.gen_action(HTAG, -p, table.basis(lw1, n + p, w2_bv)),
-                       self.lam / d_out)
-        return GradedVector(out, acc)
+            acc.add(out.gen_action(HTAG, -p, table.basis(lw1, n + p, w2_bv)), scale)
+        return GradedVector._of(out, acc.terms())
 
 
 class _FiniteTable(ModeTable):
@@ -169,11 +170,12 @@ def induced_hom(it: LogIntertwiner, N: int, w1: GradedVector,
     if w2.max_depth() > N:
         raise ValueError("second argument must lie in the bottom slice of W2")
     h3 = it.w3_module.lowest_weight
-    out = it.w3_module.zero()
+    acc = Sum()
     for wt1, c1 in w1.homogeneous_components().items():
         for wt2, c2 in w2.homogeneous_components().items():
             for n_idx in range(N + 1):
-                out = out + it.mode(c1, wt1 + wt2 - h3 - n_idx - 1, 0, c2)
+                acc.add(it.mode(c1, wt1 + wt2 - h3 - n_idx - 1, 0, c2))
+    out = GradedVector._of(it.w3_module, acc.terms())
     if out.max_depth() > N:
         raise WindowOverflowError(
             f"induced map left the bottom slice: depth {out.max_depth()} > N = {N}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import BasisVector, GradedVector, accumulate, canonical_modes, sort_key
+from .basis import BasisVector, GradedVector, Sum, canonical_modes, sort_key
 from .errors import DepthExceededError, UnknownGeneratorError
 from .formal import as_scalar, binom
 
@@ -112,10 +112,10 @@ class GenModule:
                 hit = self.gen_action_basis(tag, p, w)
                 self._gen_cache[key] = hit
             return hit
-        acc: dict = {}
+        acc = Sum()
         for bv, c in w.terms.items():
-            accumulate(acc, self.gen_action(tag, p, bv), c)
-        return GradedVector._of(self, acc)
+            acc.add(self.gen_action(tag, p, bv), c)
+        return GradedVector._of(self, acc.terms())
 
     # --- composite mode action ----------------------------------------------
 
@@ -135,9 +135,10 @@ class GenModule:
         omega, lw_bv = self.algebra.omega(), BasisVector(self.module_id, ())
         acc = self.zero()
         for j in range(d_out, -1, -1):
-            term = self._modes.basis(u_bv, n + j, lw_bv)
-            acc = (self._modes.apply(omega, 0, acc) * Fraction(1, j + 1)
-                   + (term if (n + j) % 2 else -term))
+            step = Sum()
+            step.add(self._modes.apply(omega, 0, acc), Fraction(1, j + 1))
+            step.add(self._modes.basis(u_bv, n + j, lw_bv), 1 if (n + j) % 2 else -1)
+            acc = GradedVector._of(self, step.terms())
         return acc
 
     # --- truncation helpers --------------------------------------------------
@@ -167,11 +168,11 @@ def bilinear(out: GenModule, u: GradedVector, w: GradedVector, entry,
         (w_bv, cw), = w.terms.items()
         if cu == cw == 1:
             return entry(u_bv, *args, w_bv)
-    acc: dict = {}
+    acc = Sum()
     for u_bv, cu in u.terms.items():
         for w_bv, cw in w.terms.items():
-            accumulate(acc, entry(u_bv, *args, w_bv), cu * cw)
-    return GradedVector._of(out, acc)
+            acc.add(entry(u_bv, *args, w_bv), cu * cw)
+    return GradedVector._of(out, acc.terms())
 
 
 class ModeTable:
@@ -242,7 +243,7 @@ class ModeTable:
             g = self.first.algebra.generator_tags()[tag]
             m = p + g - 1
             rest = BasisVector(self.first.module_id, u_bv.modes[1:])
-            acc: dict = {}
+            acc = Sum()
             stop = m + 1 if m >= 0 else None   # C(m, i) = 0 for i > m >= 0
             # first sum: a_(m-i) u'_(n+i) w
             for i in range(0, d_out + p + 1)[:stop]:
@@ -250,7 +251,8 @@ class ModeTable:
                 if v.is_zero():
                     continue
                 c = binom(m, i) * ((-1) ** i)
-                accumulate(acc, self.out.gen_action(tag, (m - i) - g + 1, v), c)
+                for bv, cv in v.terms.items():
+                    acc.add(self.out.gen_action(tag, (m - i) - g + 1, bv), c * cv)
             # second sum: u'_(m+n-i) a_(i) w
             sign = 1 if m % 2 else -1  # -(-1)**m
             for i in range(0, g + w_bv.depth)[:stop]:
@@ -259,8 +261,8 @@ class ModeTable:
                     continue
                 c = binom(m, i) * ((-1) ** i) * sign
                 for bv2, c2 in aw.terms.items():
-                    accumulate(acc, self.basis(rest, m + n - i, bv2), c * c2)
-            out = GradedVector._of(self.out, acc)
+                    acc.add(self.basis(rest, m + n - i, bv2), c * c2)
+            out = GradedVector._of(self.out, acc.terms())
         if __debug__ and out.terms:
             assert all(bv.depth == d_out for bv in out.terms), \
                 f"weight bookkeeping broken for Y_{n}({u_bv}) on {w_bv}"

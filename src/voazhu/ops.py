@@ -8,7 +8,7 @@ cache: every mode comes from the memoized mode tables each module owns
 
 from __future__ import annotations
 
-from .basis import GradedVector
+from .basis import GradedVector, Sum
 from .formal import binom
 from .modules import GenModule
 
@@ -17,9 +17,9 @@ def commutator_check(module: GenModule, u: GradedVector, m: int,
                      v: GradedVector, n: int, w: GradedVector) -> bool:
     """Does [Y_m(u), Y_n(v)] w = sum_j C(m,j) Y_{m+n-j}(Y_j(u)v) w hold exactly?"""
     alg = module.algebra
-    lhs = (module.mode_action(u, m, module.mode_action(v, n, w))
-           - module.mode_action(v, n, module.mode_action(u, m, w)))
-    rhs = module.zero()
+    defect = Sum()   # left side minus right side
+    defect.add(module.mode_action(u, m, module.mode_action(v, n, w)))
+    defect.add(module.mode_action(v, n, module.mode_action(u, m, w)), -1)
     for j in range(alg.mode_vanishing_bound(u, v)):
         c = binom(m, j)
         if c == 0:
@@ -27,8 +27,8 @@ def commutator_check(module: GenModule, u: GradedVector, m: int,
         uv = alg.mode_action(u, j, v)
         if uv.is_zero():
             continue
-        rhs = rhs + module.mode_action(uv, m + n - j, w) * c
-    return lhs == rhs
+        defect.add(module.mode_action(uv, m + n - j, w), -c)
+    return not defect.terms()
 
 
 def ywv_mode(module: GenModule, w: GradedVector, n, u: GradedVector) -> GradedVector:

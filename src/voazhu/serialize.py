@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .basis import BasisVector, GradedVector, sort_key
+from .basis import BasisVector, GradedVector, Sum, sort_key
 from .formal import as_scalar
 from .instances import fock, heisenberg_voa, verma, virasoro_voa
 from .modules import GenModule
@@ -78,10 +78,10 @@ def _coefficient(coeff) -> int | Fraction:
 
 def pairs_to_vector(module: GenModule, pairs) -> GradedVector:
     """The vector sum of coefficient * monomial; bad input raises ValueError."""
-    out = module.zero()
+    acc = Sum()
     for mono, coeff in pairs:
-        out = out + GradedVector(module, {parse_monomial(module, mono): _coefficient(coeff)})
-    return out
+        acc.add(GradedVector(module, {parse_monomial(module, mono): _coefficient(coeff)}))
+    return GradedVector._of(module, acc.terms())
 
 
 def _spec_rational(spec: str, text: str) -> int | Fraction:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import BasisVector, GradedVector, accumulate
+from .basis import BasisVector, GradedVector, Sum
 from .formal import as_scalar
 from .modules import GenModule, VOAlgebra
 
@@ -35,16 +35,14 @@ def _act_virasoro(module: GenModule, c: Fraction, h, vacuum: bool,
         return GradedVector(module, {BasisVector(module.module_id, modes): 1})
     # straighten: L(p) L(first) = L(first) L(p) + (p - first) L(p + first) [+ central]
     rest = BasisVector(module.module_id, bv.modes[1:])
-    acc: dict = {}
+    acc = Sum()
     through = module.gen_action(TAG, p, rest)
     for bv2, c2 in through.terms.items():
-        accumulate(acc, module.gen_action(TAG, first_mode, bv2), c2)
-    accumulate(acc, module.gen_action(TAG, p + first_mode, rest), p - first_mode)
+        acc.add(module.gen_action(TAG, first_mode, bv2), c2)
+    acc.add(module.gen_action(TAG, p + first_mode, rest), p - first_mode)
     if p + first_mode == 0:
-        central = Fraction(p**3 - p, 12) * c
-        if central != 0:
-            accumulate(acc, GradedVector(module, {rest: 1}), central)
-    return GradedVector(module, acc)
+        acc.add(GradedVector._of(module, {rest: 1}), Fraction(p**3 - p, 12) * c)
+    return GradedVector._of(module, acc.terms())
 
 
 class VirasoroVOA(VOAlgebra):

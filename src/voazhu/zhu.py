@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import GradedVector, accumulate
+from .basis import GradedVector, Sum
 from .errors import WindowOverflowError
 from .formal import as_scalar, binom
-from .linalg import WindowSubspace, integer_row
+from .linalg import WindowSubspace
 from .modules import GenModule, VOAlgebra, basis_window, bilinear
 
 
@@ -75,11 +75,11 @@ def _pair_residue(module: GenModule, u: GradedVector, w: GradedVector, terms,
             b = binom(wt + e, k - p)
             if b:
                 coeffs[k] = coeffs.get(k, 0) + c * b
-    acc: dict = {}
+    acc = Sum()
     for k, c in coeffs.items():
         if c:
-            accumulate(acc, mode(module, u, k, w), c)
-    return GradedVector._of(module, acc)
+            acc.add(mode(module, u, k, w), c)
+    return GradedVector._of(module, acc.terms())
 
 
 def star_terms(N: int) -> list:
@@ -124,28 +124,30 @@ def lp_element(module: GenModule, w: GradedVector) -> GradedVector:
         hit = memo.get(w_bv)
         if hit is None:
             unit = GradedVector._of(w.module, {w_bv: 1})
-            hit = memo[w_bv] = (module.mode_action(module.algebra.omega(), 0, unit)
-                                + unit * (w.module.lowest_weight + w_bv.depth))
+            acc = Sum()
+            acc.add(module.mode_action(module.algebra.omega(), 0, unit))
+            acc.add(unit, w.module.lowest_weight + w_bv.depth)
+            hit = memo[w_bv] = GradedVector._of(module, acc.terms())
         return hit
 
     if len(w.terms) == 1:
         (w_bv, c), = w.terms.items()
         if c == 1:
             return entry(w_bv)
-    acc: dict = {}
+    acc = Sum()
     for w_bv, c in w.terms.items():
-        accumulate(acc, entry(w_bv), c)
-    return GradedVector._of(module, acc)
+        acc.add(entry(w_bv), c)
+    return GradedVector._of(module, acc.terms())
 
 
 def o_action(module: GenModule, u: GradedVector, w: GradedVector) -> GradedVector:
     """o(u) w = Y_(wt u - 1)(u) w, the weight-preserving zero mode."""
-    out = module.zero()
+    acc = Sum()
     for wt, comp in u.homogeneous_components().items():
         if wt.denominator != 1:
             raise ValueError("o(u) needs integer-weight algebra components")
-        out = out + module.mode_action(comp, int(wt) - 1, w)
-    return out
+        acc.add(module.mode_action(comp, int(wt) - 1, w))
+    return GradedVector._of(module, acc.terms())
 
 
 # --- membership certificates -------------------------------------------------
@@ -263,24 +265,25 @@ class IdealWindow:
 
         The check runs in every mode, ``python -O`` included: a witness that
         fails to reproduce x yields Inconclusive, never an unverified
-        Certified.  It re-multiplies in integers where it can: with s the
-        common denominator of the witness coefficients c_i, the integer
-        multiples (c_i s) of the generators are summed in one term dict and
-        compared with s x.  Raises ``WindowOverflowError`` when x does not
-        fit in the window; ``certify`` reads that as Inconclusive.
+        Certified.  It is exact, not mod P: one ``basis.Sum`` adds c_i
+        gens[i] over the witness coefficients c_i, then -x, and x is
+        reproduced only if that sum is zero.  Raises ``WindowOverflowError``
+        when x does not fit in the window; ``certify`` reads that as
+        Inconclusive.
         """
         return self.reduce(x)[1]
 
     def reduce(self, x: GradedVector):
-        """(canonical representative of x, ``membership(x)``) from one reduction."""
+        """(canonical representative of x, ``membership(x)``) from one
+        reduction; the witness is re-multiplied as in ``membership``."""
         rep, witness = self.subspace.split(x)
         if witness is None:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
-        ints, s = integer_row(witness)
-        rebuilt: dict = {}
-        for i, c in ints.items():
-            accumulate(rebuilt, self.subspace.gens[i], c)
-        if rebuilt != {bv: c * s for bv, c in x.terms.items()}:
+        defect = Sum()
+        for i, c in witness.items():
+            defect.add(self.subspace.gens[i], c)
+        defect.add(x, -1)
+        if defect.terms():
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
         return rep, MembershipCert(CERTIFIED, self.depth, witness,
                                    tuple(self.labels[i] for i in witness))

@@ -1,9 +1,10 @@
 import copy
+import random
 from fractions import Fraction
 
 import pytest
 
-from voazhu.basis import BasisVector, GradedVector, canonical_modes, sort_key
+from voazhu.basis import BasisVector, GradedVector, Sum, canonical_modes, sort_key
 from voazhu.errors import UnknownGeneratorError
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.modules import basis_window, partitions
@@ -68,6 +69,75 @@ def test_graded_vector_arithmetic(heis):
     assert (w * 0).is_zero()
     assert -w + w == heis.zero()
     assert w * Fraction(3) == u * 3 + v * 3
+
+
+# 3, 16 and 5 each raise the common denominator over the ones before them
+SUM_DENOMINATORS = (2, 3, 16, 5, 12, 1)
+BIG = 2**64
+
+
+def _fraction_sum(pairs) -> dict:
+    """The oracle: sum of scale * vector in plain Fraction arithmetic."""
+    out: dict = {}
+    for gv, scale in pairs:
+        for bv, c in gv.terms.items():
+            out[bv] = out.get(bv, 0) + Fraction(c) * Fraction(scale)
+    return {bv: c for bv, c in out.items() if c}
+
+
+def _sum_pairs(heis, seed):
+    """Seeded (vector, scale) pairs: int and Fraction coefficients over the
+    denominators of SUM_DENOMINATORS in that order, numerators above 2^64, a
+    zero scale, and entries and whole vectors that cancel to zero."""
+    rng = random.Random(seed)
+    basis = basis_window(heis, 4)
+    a, b, c = heis.basis_at_depth(5)[:3]   # touched only by the cancelling pair
+
+    def vector(d):
+        picks = rng.sample(basis, 4)
+        coeffs = [rng.choice([rng.randint(-9, 9), rng.randint(BIG, 4 * BIG)]) or 1
+                  for _ in picks]
+        coeffs[0] *= d                      # an integral entry on every vector
+        return GradedVector(heis, {bv: Fraction(n, d) for bv, n in zip(picks, coeffs)})
+
+    pairs = []
+    for d in SUM_DENOMINATORS:
+        scale = rng.choice([rng.randint(-5, 5) or 1, Fraction(rng.randint(1, 7), rng.randint(1, 7)),
+                            BIG + rng.randint(0, 9)])
+        pairs.append((vector(d), scale))
+    x = pairs[2][0]
+    pairs += [(x, 0), (x, Fraction(0)),
+              (GradedVector(heis, {a: Fraction(1, 2), b: 1}), 1),
+              (GradedVector(heis, {a: Fraction(-1, 4), c: Fraction(1, 3)}), 2),   # a cancels
+              (x, Fraction(-5, 3)), (x, Fraction(5, 3))]                         # x cancels
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sum_matches_fraction_arithmetic(heis, seed):
+    """``Sum`` holds numerators over one common denominator; read through
+    ``terms()`` it equals the plain Fraction sum after every add, stores an
+    integral value as an ``int`` and anything else as a ``Fraction``, and
+    does not depend on the order of the adds."""
+    pairs = _sum_pairs(heis, seed)
+    acc = Sum()
+    for k, (gv, scale) in enumerate(pairs):
+        acc.add(gv, scale)
+        assert acc.terms() == _fraction_sum(pairs[:k + 1]), k
+    want = _fraction_sum(pairs)
+    got = acc.terms()
+    assert got == want
+    assert {bv: type(v) for bv, v in got.items()} == {
+        bv: int if v.denominator == 1 else Fraction for bv, v in want.items()}
+    assert int in map(type, got.values()) and Fraction in map(type, got.values())
+    assert max(abs(v) for v in got.values()) > BIG
+    assert acc.den % 240 == 0               # 16 * 3 * 5: every rescale happened
+    a, b, c = heis.basis_at_depth(5)[:3]
+    assert a not in acc.nums and got[b] == 1 and got[c] == Fraction(2, 3)
+    backward = Sum()
+    for gv, scale in reversed(pairs):
+        backward.add(gv, scale)
+    assert backward.terms() == got
 
 
 def test_homogeneous_components(fock_one):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from voazhu import linalg
 from voazhu.bimodule import bimodule_context
 from voazhu.errors import WindowOverflowError
 from voazhu.linalg import WindowSubspace
@@ -101,6 +102,12 @@ def _tamper_coefficient(sub, witness):
     witness[i] += Fraction(1, 7)
 
 
+def _tamper_modulus(sub, witness):
+    # the same witness mod P: only an exact re-multiplication tells them apart
+    i = next(iter(witness))
+    witness[i] += linalg.P
+
+
 def _tamper_index(sub, witness):
     # move one coefficient onto a generator that differs from the one it named
     i = next(iter(witness))
@@ -108,8 +115,8 @@ def _tamper_index(sub, witness):
     witness[j] = witness.pop(i)
 
 
-@pytest.mark.parametrize("tamper", [_tamper_coefficient, _tamper_index],
-                         ids=["coefficient", "index"])
+@pytest.mark.parametrize("tamper", [_tamper_coefficient, _tamper_modulus, _tamper_index],
+                         ids=["coefficient", "modulus", "index"])
 @pytest.mark.parametrize("case", ["heisenberg", "fock-half"])
 def test_a_witness_that_does_not_rebuild_x_is_inconclusive(monkeypatch, request, case, tamper):
     if case == "heisenberg":

@@ -5,7 +5,7 @@ otherwise, and no float or bool ever appears."""
 from fractions import Fraction
 
 from voazhu import instances
-from voazhu.basis import GradedVector, accumulate
+from voazhu.basis import GradedVector, Sum
 from voazhu.instances import fock, heisenberg_voa, verma, virasoro_voa
 from voazhu.intertwiner import FockIntertwiner
 from voazhu.modules import basis_window
@@ -69,7 +69,7 @@ def test_computed_coefficients_are_int_or_fraction():
 
 
 def test_vector_arithmetic_keeps_scalars_canonical():
-    """Sums, negation, products and ``accumulate`` store an int wherever a
+    """Sums, negation, products and ``Sum`` store an int wherever a
     value is integral, also when two Fractions sum to an integer."""
     W = fock(Fraction(1, 2))
     a, b, c = basis_window(W, 2)[:3]
@@ -83,14 +83,14 @@ def test_vector_arithmetic_keeps_scalars_canonical():
     assert scaled[0].terms == {a: 2, b: 3, c: 12}
     assert scaled[3].terms == {a: Fraction(4, 9), b: Fraction(2, 3), c: Fraction(8, 3)}
     assert scaled[6].terms == {}
-    acc: dict = {}
-    accumulate(acc, x, 3)                 # 1, 3/2, 6
-    accumulate(acc, y, Fraction(3, 2))    # + 1, 3/2, -3
-    assert acc == {a: 2, b: 3, c: 3}
-    accumulate(acc, x, Fraction(-3, 2))   # - 1/2, 3/4, 3
-    assert acc == {a: Fraction(3, 2), b: Fraction(9, 4)}
-    accumulate(acc, y, Fraction(3, 4))    # + 1/2, 3/4, -3/2
-    assert acc == {a: 2, b: 3, c: Fraction(-3, 2)}
-    for out in [total, -total, *scaled, GradedVector(W, acc)]:
+    acc = Sum()
+    acc.add(x, 3)                 # 1, 3/2, 6
+    acc.add(y, Fraction(3, 2))    # + 1, 3/2, -3
+    assert acc.terms() == {a: 2, b: 3, c: 3}
+    acc.add(x, Fraction(-3, 2))   # - 1/2, 3/4, 3
+    assert acc.terms() == {a: Fraction(3, 2), b: Fraction(9, 4)}
+    acc.add(y, Fraction(3, 4))    # + 1/2, 3/4, -3/2
+    assert acc.terms() == {a: 2, b: 3, c: Fraction(-3, 2)}
+    for out in [total, -total, *scaled, GradedVector(W, acc.terms())]:
         assert all(_canonical(v) for v in out.terms.values()), out
-    assert all(_canonical(v) for v in acc.values()), acc
+    assert all(_canonical(v) for v in acc.terms().values()), acc.terms()
