@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .basis import BasisVector, GradedVector, Sum
 from .errors import WindowOverflowError
 from .formal import as_scalar
 from .heisenberg import TAG as HTAG
-from .heisenberg import HeisenbergVOA
+from .heisenberg import FockModule, HeisenbergVOA
 from .instances import fock, heisenberg_voa
 from .linalg import ModPEchelon, image_mod_p
 from .modules import GenModule, ModeTable
@@ -240,6 +241,16 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
     divisible by P has its constraints skipped, and so do the left (right)
     constraints of a u whose o(u) on W3 (W2) is not P-integral; skipping
     only raises the bound.
+
+    The scan stops before an algebra element once the bound is decided.
+    At full rank it returns 0.  One below full rank it evaluates, once, the
+    induced map of an operator the package can build (``known_induced_map``)
+    on the unknowns mod P; if that vector is nonzero and orthogonal to every
+    row so far, it returns 1.  A stop only leaves rows out, so it can only
+    raise the bound; and an intertwining operator's induced map satisfies
+    every left, right and residue-family row, so the rows left out cannot
+    lower it either.  A vector that is not orthogonal means the map is no
+    solution, and the scan runs on.
     """
     sub = intertwiner_ideal_context(W1, N, window).subspace
     form = sub.ech.rows_p
@@ -273,8 +284,20 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
         ranks.insert(row)
 
     nvars = nq * n2 * n3
+    tried = False  # the known operator's vector is built at most once
     for a in range(1, min(window, 6) + 1):
         for u_bv in algebra.basis_at_depth(a):
+            if ranks.rank == nvars:
+                return 0
+            if ranks.rank == nvars - 1 and not tried:
+                tried = True
+                image = known_induced_map(algebra, W1, W2, W3, N,
+                                          [sub.basis[col] for col in q_cols], b2, b3)
+                vec = image and image_mod_p({unknown(q_cols[i], b2i, r): c
+                                             for (i, b2i, r), c in image.items()})
+                if vec and all(sum(c * vec.get(k, 0) for k, c in row.items()) % linalg.P == 0
+                               for row in ranks.rows.values()):
+                    return 1
             u = GradedVector(algebra, {u_bv: 1})
             m3, m2 = o_matrix(W3, u, b3), o_matrix(W2, u, b2)
             for col in q_cols:
@@ -298,6 +321,30 @@ def fusion_dim(algebra, W1: GenModule, W2: GenModule, W3: GenModule,
                             constrain(rv, b2i, r, [(unknown(col, b2p, r), m2[b2i][b2p])
                                                    for b2p in range(n2) if m2[b2i].get(b2p)])
     return nvars - ranks.rank
+
+
+def known_induced_map(algebra, W1: GenModule, W2: GenModule, W3: GenModule, N: int,
+                      reps: list, b2: list, b3: list) -> dict | None:
+    """The induced map of an intertwining operator of type (W3; W1, W2) that
+    the package builds, as {(i, j, r): coefficient of b3[r] in the image of
+    reps[i] (x) b2[j]}; None when it builds none.
+
+    The one such operator is ``FockIntertwiner`` on the registry's
+    ``fock(lam)``, ``fock(mu)`` and ``fock(lam + mu)`` over ``heisenberg_voa()``.
+    """
+    if not (algebra is heisenberg_voa()
+            and all(isinstance(W, FockModule) and W is fock(W.momentum) for W in (W1, W2, W3))
+            and W3.momentum == W1.momentum + W2.momentum):
+        return None
+    it = FockIntertwiner(algebra, W1.momentum, W2.momentum)
+    pos = {bv: r for r, bv in enumerate(b3)}
+    image = {}
+    for i, bv1 in enumerate(reps):
+        w1 = GradedVector(W1, {bv1: 1})
+        for j, bv2 in enumerate(b2):
+            out = induced_hom(it, N, w1, GradedVector(W2, {bv2: 1}))
+            image.update(((i, j, pos[bv]), c) for bv, c in out.terms.items())
+    return image
 
 
 def fusion_report(algebra, W1, W2, W3, N: int, windows=(6, 8)) -> dict:

@@ -74,15 +74,15 @@ def _triple(kind, *args):
 
 
 @pytest.mark.parametrize("triple, N, window, offered, rank", [
-    (("fock", 1, 2, 3), 0, 6, 136, 6),
-    (("fock", 1, 2, 4), 0, 6, 136, 7),
-    (("fock", "1/2", "1/2", 1), 0, 6, 136, 6),
+    (("fock", 1, 2, 3), 0, 6, 12, 6),
+    (("fock", 1, 2, 4), 0, 6, 12, 7),
+    (("fock", "1/2", "1/2", 1), 0, 6, 12, 6),
     (("verma", "1/16", "1/16", 0), 0, 6, 62, 14),
     (("verma", "1/16", "1/16", 0), 1, 6, 64, 40),
     (("fock", 1, 2, 3), 1, 8, 824, 88),
     (("verma", "1/16", "1/16", 0), 1, 8, 280, 118),
     (("verma", "1/16", "1/16", 0), 0, 8, 148, 23),
-    (("fock", "1/2", "1/2", 1), 0, 8, 252, 8),
+    (("fock", "1/2", "1/2", 1), 0, 8, 16, 8),
 ], ids=["fock-1-2-3", "fock-1-2-4", "fock-half", "verma-ising", "verma-ising-N1",
         "fock-1-2-3-N1", "verma-ising-N1-w8", "verma-ising-w8", "fock-half-w8"])
 def test_rank_mod_p_is_the_exact_rank(monkeypatch, triple, N, window, offered, rank):
@@ -90,8 +90,20 @@ def test_rank_mod_p_is_the_exact_rank(monkeypatch, triple, N, window, offered, r
     mod-P coset representatives; the same system over Q, on the exact coset
     representatives and coordinates, has the same dimension.  The last
     three triples are the ones where an integer-scaled image mod P, taken
-    for a coordinate, lowers the bound (82 -> 76, 2 -> 1, 1 -> 0)."""
+    for a coordinate, lowers the bound (82 -> 76, 2 -> 1, 1 -> 0).  The
+    Fock triples at N = 0 stop after the rows of alpha(-1): at full rank,
+    or one below it with the free-boson operator's vector in the kernel."""
     algebra, modules = _triple(*triple)
+    seen = _record_offered(monkeypatch)
+    dim = fusion_dim(algebra, *modules, N, window)
+    (ranks,) = seen
+    assert (ranks.offered, ranks.rank) == (offered, rank)
+    assert dim == exact_fusion_dim(algebra, *modules, N, window)
+
+
+def _record_offered(monkeypatch) -> list:
+    """Make fusion_dim's echelon count the rows offered to it; returns the
+    list each new echelon is appended to."""
     seen = []
 
     class Recording(intertwiner.ModPEchelon):
@@ -106,10 +118,37 @@ def test_rank_mod_p_is_the_exact_rank(monkeypatch, triple, N, window, offered, r
             return super().insert(row)
 
     monkeypatch.setattr(intertwiner, "ModPEchelon", Recording)
-    dim = fusion_dim(algebra, *modules, N, window)
-    (ranks,) = seen
-    assert (ranks.offered, ranks.rank) == (offered, rank)
-    assert dim == exact_fusion_dim(algebra, *modules, N, window)
+    return seen
+
+
+# every Fock triple the package ships: run_fusion's six at windows 6 and 8,
+# and demo 06's vacuum channel at windows 5 and 6
+SHIPPED_FOCK = ([((lam, mu, nu), w) for lam, mu in ((1, 2), ("1/2", "1/2"))
+                 for nu in (Fraction(lam) + Fraction(mu) + d for d in (0, 1, -1))
+                 for w in (6, 8)]
+                + [((0, "1/2", "1/2"), w) for w in (5, 6)])
+
+
+@pytest.mark.parametrize("momenta, window", SHIPPED_FOCK,
+                         ids=[f"{'-'.join(map(str, m))}-w{w}" for m, w in SHIPPED_FOCK])
+def test_stopped_scan_matches_the_full_scan_over_q(V, momenta, window):
+    """A scan that stops once its bound is decided gives the dim of the
+    full system over Q on every shipped Fock triple."""
+    modules = [fock(m) for m in momenta]
+    assert fusion_dim(V, *modules, 0, window) == exact_fusion_dim(V, *modules, 0, window)
+
+
+def test_a_vector_off_the_kernel_does_not_stop_the_scan(V, monkeypatch):
+    """One below full rank the scan stops only on a vector orthogonal to its
+    rows: the free-boson operator's stops fock(1), fock(2), fock(3) after
+    the 12 rows of alpha(-1); a unit vector on the first unknown, which is
+    no solution, leaves all 136 rows offered and the dim unchanged."""
+    modules = [fock(1), fock(2), fock(3)]
+    seen = _record_offered(monkeypatch)
+    assert fusion_dim(V, *modules, 0, 6) == 1
+    monkeypatch.setattr(intertwiner, "known_induced_map", lambda *args: {(0, 0, 0): 1})
+    assert fusion_dim(V, *modules, 0, 6) == 1
+    assert [ranks.offered for ranks in seen] == [12, 136]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -189,6 +189,10 @@ GOLDEN_STDOUT = {
     "fusion-124": (["fusion", "--w1", "fock:1", "--w2", "fock:2", "--w3", "fock:4",
                     "--n", "1", "--window", "8,10"],
                    "a6d9f7673470d239c064b8c3d2d1f5be8e44bec14600ac7833a1f5a04be8d1b7"),
+    # N = 0 dims 0: the fusion scan stops at full rank
+    "fusion-124-n0": (["fusion", "--w1", "fock:1", "--w2", "fock:2", "--w3", "fock:4",
+                       "--window", "6,8"],
+                      "479faf53459d75f1db4b27ca82d290fd2a8080b48a3c6867c0958656ce65325c"),
     "axioms-seed7": (["axioms", "--seed", "7", "--n", "0,1"],
                      "aa858f1917d9df39032df5d2ed9defa6646d49b9572fb4c7ed5ab17cff8c4d1d"),
     # N = 2: the only pin of witness sizes above N = 1
