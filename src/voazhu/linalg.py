@@ -7,9 +7,8 @@ and strips a gcd, so no rational arithmetic happens inside the one
 elimination loop (``SparseEchelon._eliminate``) that inserts and
 reductions share.  Every stored row carries its combo, the combination of
 the input rows it equals, which turns a reduction into a membership
-witness.  A caller that needs only the canonical representative asks for
-``SparseEchelon.remainder``: the same elimination, carrying only the
-reduced row's scale instead of the stored rows' combos.
+witness.  ``SparseEchelon.reduce`` is the one exact query: it gives a
+row's canonical representative and its witness together.
 
 The exact form is a plain echelon form, not a reduced one, keyed by pivot
 column: an insert only adds a row and its combo under a new pivot, and
@@ -31,7 +30,7 @@ fusion bounds, and every Certified answer is still re-multiplied.
 The mod-P form also gives coordinates: ``ModPEchelon.remainder`` reduces
 a row's image mod P, taken entry by entry (``image_mod_p``), to the form's
 own non-pivot columns.  ``fusion_dim`` reads a window's quotient there,
-mod P end to end; every other caller reads the exact remainder.
+mod P end to end.
 
 A module window is one object, ``WindowSubspace``: its basis, generators
 and echelon form; the exact form's non-pivot columns are the coset
@@ -197,19 +196,15 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, r: dict, combo: dict, track: bool = True) -> tuple:
+    def _eliminate(self, r: dict, combo: dict) -> tuple:
         """Clear r's pivot leads, highest first, with the combo alongside.
         For a pivot row with lead a and r's lead b: if a divides b, r <-
         r - (b//a)*row, in place; otherwise r <- a*r - b*row, then strip
         the joint gcd of r and its combo.  Either way (r, combo) changes by
-        the same factor, so the remainder and witness it gives do not
+        the same factor, so the reduced row and witness it gives do not
         depend on which step was taken.  The stored rows are never written.
         Stops at r = 0 or at a lead that is no pivot; returns the new (r,
         combo), which may be the dicts passed in.
-
-        With ``track`` off the stored rows' combos are left out: the combo
-        only follows the scale of its own entries, such as r's scale under
-        the key None.
         """
         while r:
             lead = max(r)
@@ -220,13 +215,12 @@ class SparseEchelon:
             a, b = prow[lead], r[lead]
             if b % a:
                 r = _combine(r, prow, a, -b)
-                combo = _combine(combo, pcombo if track else {}, a, -b)
+                combo = _combine(combo, pcombo, a, -b)
                 _strip_gcd(r, combo)
             else:
                 q = b // a
                 _sub(r, q, prow)
-                if track:
-                    _sub(combo, q, pcombo)
+                _sub(combo, q, pcombo)
         return r, combo
 
     def _append(self, r: dict, combo: dict) -> None:
@@ -246,33 +240,24 @@ class SparseEchelon:
         self._append(*self._eliminate(ints, {key: scale}))
         return True
 
-    def _reduce(self, row: dict, track: bool) -> tuple:
+    def reduce(self, row: dict):
+        """Reduce a rational row; returns (rest, combo over input rows).
+
+        rest is a Fraction dict supported away from all pivot columns;
+        combo maps original input-row indices to rational coefficients such
+        that  input_row_combination + rest = row.
+        """
         # the row is a virtual input keyed None, so r = combo[None] * row +
         # stored inputs; a lead that is no pivot is final and set aside
         ints, scale = integer_row(row)
-        r, combo = self._eliminate(ints, {None: scale}, track)
-        rem = {}
+        r, combo = self._eliminate(ints, {None: scale})
+        rest = {}
         while r:
             lead = max(r)
-            rem[lead] = Fraction(r.pop(lead), combo[None])
-            r, combo = self._eliminate(r, combo, track)
-        return rem, combo
-
-    def reduce(self, row: dict):
-        """Reduce a rational row; returns (remainder, combo over input rows).
-
-        remainder is a Fraction dict supported away from all pivot columns;
-        combo maps original input-row indices to rational coefficients such
-        that  input_row_combination + remainder = row.
-        """
-        rem, combo = self._reduce(row, True)
+            rest[lead] = Fraction(r.pop(lead), combo[None])
+            r, combo = self._eliminate(r, combo)
         s = combo.pop(None)
-        return rem, {i: Fraction(-c, s) for i, c in combo.items()}
-
-    def remainder(self, row: dict) -> dict:
-        """``reduce(row)[0]``, the same elimination without the combo: only
-        the row's own scale is carried along, not the stored rows' combos."""
-        return self._reduce(row, False)[0]
+        return rest, {i: Fraction(-c, s) for i, c in combo.items()}
 
 
 class WindowSubspace:
@@ -280,7 +265,9 @@ class WindowSubspace:
     ``basis[i]``, and a row-reduced subspace of it with witnesses: positive
     membership answers come with the exact rational combination of
     generators that reproduces the queried vector.  The columns that are
-    no pivot, ``cosets()``, are the coset representatives of the quotient.
+    no pivot, ``cosets()``, are the coset representatives of the quotient;
+    ``split`` reduces a vector to its canonical representative over them
+    and its witness in one pass, and ``reduce`` keeps the representative.
     """
 
     def __init__(self, module: GenModule, depth: int):
@@ -325,13 +312,9 @@ class WindowSubspace:
         """The columns that are no pivot, in order: the coset representatives."""
         return [i for i in range(len(self.basis)) if i not in self.ech.rows]
 
-    def coordinates(self, gv: GradedVector) -> dict:
-        """gv modulo the subspace as a row over ``cosets()`` columns."""
-        return self.ech.remainder(self.row_of(gv))
-
     def reduce(self, gv: GradedVector) -> GradedVector:
         """Canonical representative of gv modulo the subspace."""
-        return self.vector_of(self.coordinates(gv))
+        return self.split(gv)[0]
 
     def split(self, gv: GradedVector):
         """(canonical representative of gv, witness) from one reduction: the

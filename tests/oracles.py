@@ -145,7 +145,7 @@ def dense_rref(rows, ncols):
 
 
 class FractionEchelon:
-    """``SparseEchelon``'s insert, reduce and remainder by plain Fraction
+    """``SparseEchelon``'s insert and reduce by plain Fraction
     elimination: no integer scaling, no gcd, no mod-P filter.  A stored row
     is monic at its pivot, its highest column, and zero at every pivot
     column known when it was stored; it carries its combination of the
@@ -157,7 +157,7 @@ class FractionEchelon:
         self.rows = {}   # pivot column -> (monic row, combo over input indices)
         self.n_inserted = 0
 
-    def _reduce(self, row):
+    def reduce(self, row):
         """(remainder off the pivot columns, combo of stored inputs) with
         row = combo's combination of the inputs + remainder."""
         r = {k: Fraction(v) for k, v in row.items() if v}
@@ -179,7 +179,7 @@ class FractionEchelon:
     def insert(self, row) -> bool:
         key = self.n_inserted
         self.n_inserted += 1
-        rem, combo = self._reduce(row)
+        rem, combo = self.reduce(row)
         if not rem:
             return False
         lead = rem[max(rem)]
@@ -188,12 +188,6 @@ class FractionEchelon:
         self.rows[max(rem)] = ({k: v / lead for k, v in rem.items()},
                                {i: c / lead for i, c in combo.items()})
         return True
-
-    def reduce(self, row):
-        return self._reduce(row)
-
-    def remainder(self, row):
-        return self._reduce(row)[0]
 
 
 def plain_exact(rows):
@@ -210,9 +204,9 @@ def plain_exact(rows):
 
 def exact_fusion_dim(algebra, W1, W2, W3, N, window):
     """``intertwiner.fusion_dim``'s system over Q: unknowns on the exact
-    coset representatives ``cosets()``, products read through the exact
-    ``coordinates()``, Fraction o(u) matrices, and the rank of the
-    constraints by ``plain_exact``."""
+    coset representatives ``cosets()``, a product's coordinates its exact
+    reduction over them (``SparseEchelon.reduce``), Fraction o(u) matrices,
+    and the rank of the constraints by ``plain_exact``."""
     sub = intertwiner_ideal_context(W1, N, window).subspace
     q_cols = sub.cosets()
     b2, b3 = omega0_basis(W2, N), omega0_basis(W3, N)
@@ -246,8 +240,8 @@ def exact_fusion_dim(algebra, W1, W2, W3, N, window):
                 if a + sub.basis[col].depth + 2 * N > window:
                     continue
                 qvec = GradedVector(W1, {sub.basis[col]: 1})
-                lv = sub.coordinates(left_star(W1, u, qvec, N))
-                rv = sub.coordinates(right_star_alt(W1, qvec, u, N))
+                lv = sub.ech.reduce(sub.row_of(left_star(W1, u, qvec, N)))[0]
+                rv = sub.ech.reduce(sub.row_of(right_star_alt(W1, qvec, u, N)))[0]
                 for b2i in range(n2):
                     for r in range(n3):
                         constrain(lv, b2i, r, [(unknown(col, b2i, s), m3[s][r])

@@ -21,12 +21,14 @@ from voazhu import fusion_dim, lp_element, zhu_context
 from voazhu.instances import fock, heisenberg_voa
 heis = heisenberg_voa()
 cert = zhu_context(heis, 0, 4).membership(lp_element(heis, heis.alpha()))
+zhu_context(heis, 0, 4).subspace.reduce(heis.alpha())
 fusion_dim(heis, fock(1), fock(2), fock(3), 0, 3)
 metrics = tracer.metrics()
 print(json.dumps({"missing": sorted(tracer.missing), "certified": cert.certified,
                   "unset": sorted(k for k, v in metrics.items() if v is None),
                   "windows": metrics["window.count"],
-                  "memberships": metrics["membership.calls"]}))
+                  "memberships": metrics["membership.calls"],
+                  "reductions": metrics["linalg.reduce.calls"]}))
 """
 
 
@@ -40,3 +42,5 @@ def test_tracer_wraps_every_layer(src_env):
     assert out["unset"] == ["trace.overhead_frac"]
     assert out["certified"]
     assert out["windows"] == 2 and out["memberships"] == 1
+    # each membership reduces once, and so does the window's reduce
+    assert out["reductions"] == out["memberships"] + 1

@@ -182,7 +182,7 @@ def _count_steps(monkeypatch):
 @pytest.mark.parametrize("seed", [61, 62, 63, 64])
 def test_two_case_step_matches_fraction_oracle(monkeypatch, seed):
     """Whether a step subtracts the quotient in place (the pivot's lead
-    divides the row's) or cross-multiplies, inserts, remainders and
+    divides the row's) or cross-multiplies, inserts, reductions and
     witnesses equal the plain Fraction elimination's."""
     rng = random.Random(seed)
     quotients, cross = _count_steps(monkeypatch)
@@ -191,7 +191,6 @@ def test_two_case_step_matches_fraction_oracle(monkeypatch, seed):
     for probe in _probes(rng, rows):
         rem, combo = ech.reduce(dict(probe))
         assert (rem, combo) == oracle.reduce(probe)
-        assert ech.remainder(dict(probe)) == rem
         assert _rebuild(rows, combo) == {k: probe.get(k, 0) - rem.get(k, 0)
                                          for k in set(probe) | set(rem)
                                          if probe.get(k, 0) != rem.get(k, 0)}
@@ -207,16 +206,15 @@ def test_two_case_step_matches_fraction_oracle(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [71, 72, 73])
 def test_elimination_never_writes_the_stored_rows(seed):
-    """reduce and remainder leave every stored row and combo as it was, and
-    an insert only adds a row under a new pivot."""
+    """reduce leaves every stored row and combo as it was, and an insert
+    only adds a row under a new pivot."""
     rng = random.Random(seed)
     rows, ech, _ = _two_case_form(rng)
     snapshot = copy.deepcopy((ech.rows, ech.rows_p.rows))
     for _ in range(5):
         for probe in _probes(rng, rows):
-            for call in (ech.reduce, ech.remainder):
-                call(dict(probe))
-                assert (ech.rows, ech.rows_p.rows) == snapshot
+            ech.reduce(dict(probe))
+            assert (ech.rows, ech.rows_p.rows) == snapshot
     for row in _integer_rows(rng, PROBE_LEADS, NCOLS + 2):
         before = copy.deepcopy(ech.rows)
         ech.insert_rational({k: Fraction(v) for k, v in row.items()})
@@ -317,26 +315,34 @@ def _assert_fully_reduced_mod_p(form):
 
 @REAL_WINDOWS
 def test_remainder_matches_reduce_on_real_windows(context, module, N, depth):
-    """The combo-free remainder is the remainder of the full reduction, on
-    seeded rows with Fraction entries, in the span and outside it."""
+    """A window's ``reduce`` is its canonical representative: reducing it
+    again changes nothing, it is the representative the membership oracle
+    reports, and the vector minus it is certified in the span; on seeded
+    vectors with Fraction entries, in the span and outside it."""
     mod = module()
     rng = random.Random(100 * N + depth)
-    zero = nonzero = 0
+    nonzero = 0
     for win in (context(mod, N, depth - 2), context(mod, N, depth)):
-        ech, ncols = win.subspace.ech, len(win.subspace.basis)
-        gens = [win.subspace.row_of(gv) for gv in win.subspace.gens]
-        probes = random_rows(rng, 6, ncols, density=0.2)
-        probes += [_rebuild(gens, {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        sub = win.subspace
+        gens = [sub.row_of(gv) for gv in sub.gens]
+        others = random_rows(rng, 6, len(sub.basis), density=0.2)
+        in_span = [_rebuild(gens, {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                                    for i in rng.sample(range(len(gens)), 3)})
                    for _ in range(4)]
-        probes += [{k: v * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for k, v in r.items()}
+        # generators with each entry scaled on its own, mostly off the span
+        others += [{k: v * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for k, v in r.items()}
                    for r in rng.sample(gens, 4)]
-        for row in probes:
-            rem = ech.remainder(dict(row))
-            assert rem == ech.reduce(dict(row))[0]
-            zero += not rem
-            nonzero += bool(rem)
-    assert zero and nonzero
+        for row, spanned in [(r, False) for r in others] + [(r, True) for r in in_span]:
+            x = sub.vector_of(row)
+            rep = sub.reduce(x)
+            assert sub.reduce(rep) == rep
+            assert rep == win.reduce(x)[0]
+            assert win.membership(x - rep).certified
+            if spanned:
+                assert not rep
+            else:
+                nonzero += bool(rep)
+    assert nonzero
 
 
 def _count_exact(monkeypatch):
@@ -459,7 +465,7 @@ def test_equal_row_counts_can_hide_different_pivots(monkeypatch):
     assert ech.rank == ech.rows_p.rank == 1
     assert set(ech.rows) == {1} and set(ech.rows_p.rows) == {0}
     # e_0 is its own exact remainder, but reduces to zero mod 3
-    assert ech.remainder({0: Fraction(1)}) == {0: 1}
+    assert ech.reduce({0: Fraction(1)})[0] == {0: 1}
     assert ech.rows_p.remainder({0: 1}) == {}
     assert ech.rows_p.remainder({1: 1}) == {1: 1}
     # the exact coset representatives (a window's cosets()) against the mod-P ones
