@@ -2,7 +2,13 @@
 
 A :class:`BasisVector` is a string of lowering modes applied to the lowest
 weight vector of a module, in canonical order (most negative mode first,
-ties broken by generator tag).  A :class:`GradedVector` is a finite rational
+ties broken by generator tag).  Basis vectors are interned: each value is
+one object, held for the life of the process in a module-level table, and
+hashed by identity.  Every memo and every sum is a dict keyed on them, so a
+lookup hashes a pointer instead of the nested modes tuple; the distinct
+monomials of a run number in the thousands, so the table stays small.
+
+A :class:`GradedVector` is a finite rational
 linear combination of basis vectors of a single module; zero coefficients
 are never stored, and each stored coefficient is an ``int`` when integral
 and a ``Fraction`` otherwise (``formal.as_scalar``).
@@ -33,19 +39,41 @@ class _BasisFields(NamedTuple):
     depth: int    # total lowering below the lowest weight vector, -sum of the modes
 
 
+_interned: dict = {}   # (module_id, modes) -> the one BasisVector of that value
+
+
 class BasisVector(_BasisFields):
     """A basis monomial, built as ``BasisVector(module_id, modes)``; its depth
     is summed once, here, and stored as a third field.  The depth is a
     function of the modes, so equality and order are those of
-    (module_id, modes)."""
+    (module_id, modes).
+
+    Interned: equal values are the same object, so the hash is the
+    object's identity.  A miss is settled by ``dict.setdefault``, so
+    threads that build one monomial at once all get the same object.  Copy,
+    deepcopy and pickle rebuild through ``__new__``; ``_make`` and
+    ``_replace`` would bypass the table, so they raise."""
 
     __slots__ = ()
+    __hash__ = object.__hash__
 
     def __new__(cls, module_id: str, modes: tuple):
-        return tuple.__new__(cls, (module_id, modes, -sum(map(_mode_index, modes))))
+        key = (module_id, modes)
+        bv = _interned.get(key)
+        if bv is None:
+            bv = _interned.setdefault(key, tuple.__new__(
+                cls, (module_id, modes, -sum(map(_mode_index, modes)))))
+        return bv
 
     def __getnewargs__(self):   # copy and pickle rebuild through __new__
         return self[:2]
+
+    @classmethod
+    def _make(cls, iterable):
+        raise TypeError("build a BasisVector as BasisVector(module_id, modes)")
+
+    def _replace(self, **fields):
+        raise TypeError("build a BasisVector as BasisVector(module_id, modes)")
 
     def __str__(self):
         if not self.modes:

@@ -1,5 +1,8 @@
 import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -36,18 +39,73 @@ def test_depth_and_weight(fock_half):
 ])
 def test_stored_depth_is_the_mode_sum(make):
     """The depth stored at construction is -sum of the modes, and a vector
-    rebuilt from its fields, or deep-copied, compares, hashes and sorts the same."""
+    rebuilt from its fields, copied, deep-copied or pickled is the same
+    object, so it compares, hashes and sorts the same; ``_make`` and
+    ``_replace``, which would bypass the interning table, raise."""
     module = make()
     window = basis_window(module, 8)
     assert len(window) > 20
     for bv in window:
         assert bv.depth == -sum(m for _, m in bv.modes)
         rebuilt = BasisVector(bv.module_id, tuple(bv.modes))
-        for twin in (rebuilt, module.basis_vector(bv.modes), copy.deepcopy(bv)):
+        for twin in (rebuilt, module.basis_vector(bv.modes), copy.copy(bv),
+                     copy.deepcopy(bv), pickle.loads(pickle.dumps(bv))):
             assert type(twin) is BasisVector
+            assert twin is bv
             assert twin == bv and hash(twin) == hash(bv) and twin.depth == bv.depth
             assert sort_key(twin) == sort_key(bv)
+        with pytest.raises(TypeError):
+            BasisVector._make(tuple(bv))
+        with pytest.raises(TypeError):
+            bv._replace(depth=bv.depth)
     assert sorted(reversed(window), key=sort_key) == window
+
+
+def test_threads_building_one_monomial_get_one_object():
+    """Four threads released together build the same fresh monomials, in
+    rounds; each value is one object however the builds interleave."""
+    threads_n, rounds, fresh = 4, 5, 300
+    barrier = threading.Barrier(threads_n)
+    built = [[] for _ in range(threads_n)]
+
+    def build(k):
+        for r in range(rounds):
+            barrier.wait()
+            built[k] += [BasisVector(f"interning-race-{r}", (("a", -m),))
+                         for m in range(1, fresh + 1)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, so builds interleave
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    first = built[0]
+    for other in built[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))
+
+
+def test_memo_is_found_through_any_equal_vector(heis):
+    """A deep-copied vector cancels its original term by term, and the mode
+    memo answers the copy with the stored entry itself, not a recomputation."""
+    def deep(x):   # copies the vector, not the shared module and its memos
+        return copy.deepcopy(x, {id(heis): heis})
+
+    gv = heis.monomial([("a", -2), ("a", -1)], Fraction(3, 2)) + heis.monomial([("a", -3)], 5)
+    twin = deep(gv)
+    assert twin is not gv and twin.terms is not gv.terms
+    assert (gv - twin).is_zero()
+    u, w = heis.monomial([("a", -2), ("a", -1)]), heis.monomial([("a", -1)])
+    entry = heis._modes.apply(u, 1, w)
+    (u_bv,), (w_bv,) = u.terms, w.terms
+    assert heis._modes.memo[u_bv, 1, w_bv] is entry
+    u_copy, w_copy = deep(u), deep(w)
+    assert heis._modes.apply(u_copy, 1, w_copy) is entry
 
 
 def test_unknown_generator_rejected(fock_half):
