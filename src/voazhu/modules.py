@@ -10,7 +10,10 @@ action is derived from those base rules through the iterate formula
 with both inner sums finite because the module is lower bounded.  One
 memoized ``ModeTable`` carries it for a module's vertex operator (type
 (W; V, W)), its module-to-algebra operator Y_WV (type (W; W, V)) and an
-intertwining operator's modes, one table per log power.  Instances are
+intertwining operator's modes, one table per log power.  The vertex
+operator's table answers its leaves u = 1 and u = a_(m)1 in closed form
+(``ModeTable._vacuum_leaf``): the iterate formula would sum to the same
+value over vacuum modes that are all zero but one.  Instances are
 immutable after construction; the per-instance caches (modes, residues and
 ideal windows) only ever map a key to one value, so concurrent readers
 always observe identical results.
@@ -26,7 +29,9 @@ from .errors import DepthExceededError, UnknownGeneratorError
 from .formal import as_scalar, binom
 
 
-@lru_cache(maxsize=None)
+# 282 distinct keys after ``run_suite`` at n_values (2, 3); the bound keeps a
+# long session's memory flat.
+@lru_cache(maxsize=1024)
 def partitions(total: int, min_part: int = 1, max_part: int | None = None) -> tuple:
     """All non-increasing tuples of integers >= min_part summing to total."""
     if total == 0:
@@ -53,7 +58,7 @@ class GenModule:
         self._windows: dict = {}   # (class, N, families, depth) -> window
         self._residues: dict = {}  # (mode, terms) -> {(u_bv, w_bv): zhu.residue}
         self._lp_elements: dict = {}  # w_bv -> zhu.lp_element
-        self._modes = ModeTable(self.algebra, self, self, self._vacuum_mode)
+        self._modes = ModeTable(self.algebra, self, self, None)
         self._mode_cache = self._modes.memo
         self._ywv_modes = ModeTable(self, self.algebra, self, self._ywv_bottom)
 
@@ -125,10 +130,6 @@ class GenModule:
             raise ValueError("mode_action: u must live in the algebra")
         return self._modes.apply(u, n, w)
 
-    def _vacuum_mode(self, n: int, w_bv: BasisVector, d_out: int) -> GradedVector:
-        """1_(n) w: Y_(-1)(1) is the identity and every other mode vanishes."""
-        return GradedVector(self, {w_bv: 1}) if n == -1 else self.zero()
-
     def _ywv_bottom(self, n: int, u_bv: BasisVector, d_out: int) -> GradedVector:
         """Y_WV(lw, x) u at x^(-n-1), from e^{xL(-1)} Y_W(u, -x) lw: the sum
         over j <= d_out of ((-1)^(n+j+1)/j!) L(-1)^j Y_{n+j}(u) lw, Horner-wise."""
@@ -179,11 +180,13 @@ class ModeTable:
     """Memoized modes u_(n) w, for basis monomials u of ``first`` and w of
     ``src``, with values in ``out``.
 
-    A module's vertex operator is ``ModeTable(algebra, W, W, vacuum mode)``,
+    A module's vertex operator is ``ModeTable(algebra, W, W, None)``, whose
+    vacuum leaves u = 1 and u = a_(m)1 have closed forms (``_vacuum_leaf``),
     its module-to-algebra operator ``ModeTable(W, algebra, W, Y_WV(lw))``,
     the free-boson intertwiner ``ModeTable(F_lam, F_mu, F_{lam+mu},
     exponential)``, whose bottom modes recurse on the table itself;
-    ``bottom(n, w, d_out)`` is the mode of the bottom vector of ``first``.
+    ``bottom(n, w, d_out)`` is the mode of the bottom vector of ``first``,
+    and every table with a ``bottom`` runs the iterate formula down to it.
     A synthetic intertwiner's finite tables override ``_compute`` to read
     zero on a miss.  ``apply`` extends the memo to vectors through
     ``bilinear``, the package's one loop over pairs of basis vectors.  The
@@ -218,8 +221,8 @@ class ModeTable:
         return hit
 
     def _compute(self, u_bv: BasisVector, n, w_bv: BasisVector) -> GradedVector:
-        """The bottom mode, or (a_(m) u')_(n) w by the iterate formula for
-        u = a(p) u', a of weight g and m = p + g - 1.
+        """The bottom mode or vacuum leaf, or (a_(m) u')_(n) w by the iterate
+        formula for u = a(p) u', a of weight g and m = p + g - 1.
 
         The first sum stops at i = d_out + p, where u'_(n+i) w reaches depth
         0; the second at g - 1 + depth w, beyond which a_(i) w = 0.  When
@@ -236,7 +239,9 @@ class ModeTable:
         if self.depth_max is not None and d_out > self.depth_max:
             raise DepthExceededError(
                 f"mode output depth {d_out} above configured bound {self.depth_max}")
-        if not u_bv.modes:
+        if self.bottom is None and len(u_bv.modes) < 2:
+            out = self._vacuum_leaf(u_bv, n, w_bv)
+        elif not u_bv.modes:
             out = self.bottom(n, w_bv, d_out)
         else:
             tag, p = u_bv.modes[0]
@@ -267,6 +272,25 @@ class ModeTable:
             assert all(bv.depth == d_out for bv in out.terms), \
                 f"weight bookkeeping broken for Y_{n}({u_bv}) on {w_bv}"
         return out
+
+    def _vacuum_leaf(self, u_bv: BasisVector, n: int, w_bv: BasisVector) -> GradedVector:
+        """u_(n) w in closed form for u = 1 or u = a_(m)1, a of weight g.
+
+        1_(n) w = delta_{n,-1} w, and the derivative property Y(a_(m)1, x) =
+        d^(-m-1) a(x) / (-m-1)! gives (a_(m)1)_(n) w = C(-m-n-2, -m-1)
+        a_(m+n+1) w.  Both are exact for m <= -1, which every vacuum monomial
+        has (a_(m)1 = 0 for m >= 0); binom rejects any other m.
+        """
+        if not u_bv.modes:
+            return GradedVector._of(self.out, {w_bv: 1}) if n == -1 else self.out.zero()
+        (tag, p), = u_bv.modes
+        g = self.first.generator_tags()[tag]
+        m = p + g - 1
+        c = binom(-m - n - 2, -m - 1)
+        if not c:
+            return self.out.zero()
+        aw = self.out.gen_action(tag, m + n + 2 - g, w_bv)
+        return aw if c == 1 else aw * c
 
 
 class VOAlgebra(GenModule):

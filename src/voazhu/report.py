@@ -68,7 +68,9 @@ MODE_SAMPLES, QUOTIENT_SAMPLES, BIMODULE_SAMPLES, RHO_SAMPLES = 40, 6, 4, 8
 MAX_DEPTH, BIMODULE_MAX_DEPTH = 3, 2
 # the last N of the telescoping, alternating and bivariate identity families
 IDENTITY_MAX_N, ALT_SUM_MAX_N, BIVARIATE_MAX_N = 12, 20, 6
-WINDOW_CAP = 18  # the deepest ideal window a certification may ask for
+# the deepest ideal window a certification may ask for; a heis associativity
+# defect of ``axioms --seed 42 --n 3`` has depth 19
+WINDOW_CAP = 19
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ import pytest
 
 from oracles import sugawara_mode
 from voazhu import commutator_check
+from voazhu.heisenberg import FockModule
 from voazhu.instances import fock, verma, virasoro_voa
+from voazhu.modules import ModeTable, basis_window
 from voazhu.sampling import SampleStream
 
 
@@ -32,6 +34,36 @@ def test_vacuum_axioms_bulk(heis, vir_half):
             k = stream.mode_index(-4, 4)
             if k != -1:
                 assert module.mode_action(module.one(), k, w).is_zero()
+
+
+@pytest.mark.parametrize("module", ["heis", "fock_half", "vir_half", "verma_ising", "vir_25"])
+def test_vacuum_leaves_match_the_iterate_formula(module, request):
+    """The vertex operator's closed-form leaves 1_(n) w and (a_(m)1)_(n) w,
+    and every entry recursed down to them, equal a table that runs the
+    iterate formula down to a plain vacuum bottom."""
+    W = virasoro_voa(25) if module == "vir_25" else request.getfixturevalue(module)
+    alg = W.algebra
+
+    def vacuum(n, w_bv, d_out):
+        return W.monomial(w_bv.modes) if n == -1 else W.zero()
+
+    reference = ModeTable(alg, W, W, vacuum)
+    us = [u for u in basis_window(alg, 6) if len(u.modes) <= 3]
+    assert {len(u.modes) for u in us} == {0, 1, 2, 3}
+    for u in us:
+        for w in basis_window(W, 4):
+            for n in range(-6, 6):
+                assert W._modes.basis(u, n, w) == reference.basis(u, n, w), (u, n, w)
+
+
+def test_vacuum_entries_are_never_stored(heis):
+    """The closed-form leaves never ask for a mode of the vacuum itself."""
+    F = FockModule(heis, Fraction(5, 2))  # not the registry's: a cold table
+    w = F.monomial([("a", -2), ("a", -1)])
+    assert F.mode_action(heis.omega(), 0, w)
+    assert F.mode_action(heis.monomial([("a", -2), ("a", -1), ("a", -1)]), -1, w)
+    keys = list(F._mode_cache)
+    assert keys and all(u_bv.modes for u_bv, _, _ in keys)
 
 
 def test_heisenberg_bracket(heis):
