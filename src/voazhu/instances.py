@@ -2,13 +2,17 @@
 
 Every cache of module state lives on an instance: the mode tables of the
 vertex operator and of Y_WV, and the ideal windows of ``zhu_context``,
-``bimodule_context`` and ``intertwiner_ideal_context``.  This registry is
-the only process-wide table besides the memoized ``modules.partitions``,
-and the library itself (``FockIntertwiner`` included) takes its modules
-from it, so one module id has one instance and one set of caches.  Reusing
-the registry's instances across a session (CLI run, test suite) is what
-makes repeated checks cheap; a caller that wants a cold, separately freed
-session builds its own instances (``HeisenbergVOA()``, ...) instead.
+``bimodule_context`` and ``intertwiner_ideal_context``.  The library
+(``FockIntertwiner`` included) takes its modules from this registry, so
+one module id has one instance and one set of caches; reusing them across
+a session (CLI run, test suite) is what makes repeated checks cheap, and a
+caller that wants a cold, separately freed session builds its own
+instances (``HeisenbergVOA()``, ...).  Three more tables live for the
+process whatever instances are used: the bounded ``lru_cache``s of
+``formal._binom`` and ``modules.partitions``, and ``basis._interned``, the
+one object of each basis vector, which may be freed only when no vector of
+that value can be reached: an equal vector built later would be a second
+object with another hash.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ elimination loop (``SparseEchelon._eliminate``) that inserts and
 reductions share.  Every stored row carries its combo, the combination of
 the input rows it equals, which turns a reduction into a membership
 witness.  ``SparseEchelon.reduce`` is the one exact query: it gives a
-row's canonical representative and its witness together.
+row's canonical representative and its witness together, the witness as
+the integers elimination leaves: a combo and a nonzero scale.
 
 The exact form is a plain echelon form, not a reduced one, keyed by pivot
 column: an insert only adds a row and its combo under a new pivot, and
@@ -241,14 +242,15 @@ class SparseEchelon:
         return True
 
     def reduce(self, row: dict):
-        """Reduce a rational row; returns (rest, combo over input rows).
+        """Reduce a rational row; returns (rest, combo, scale).
 
         rest is a Fraction dict supported away from all pivot columns;
-        combo maps original input-row indices to rational coefficients such
-        that  input_row_combination + rest = row.
+        combo maps input-row indices to integers and scale is a nonzero
+        integer such that  scale*(row - rest) + sum_i combo[i]*input_i = 0
+        exactly, over the input rows as supplied.
         """
-        # the row is a virtual input keyed None, so r = combo[None] * row +
-        # stored inputs; a lead that is no pivot is final and set aside
+        # the row is a virtual input keyed None, so r = combo[None] * (row -
+        # rest) + stored inputs; a lead that is no pivot is final and set aside
         ints, scale = integer_row(row)
         r, combo = self._eliminate(ints, {None: scale})
         rest = {}
@@ -256,15 +258,15 @@ class SparseEchelon:
             lead = max(r)
             rest[lead] = Fraction(r.pop(lead), combo[None])
             r, combo = self._eliminate(r, combo)
-        s = combo.pop(None)
-        return rest, {i: Fraction(-c, s) for i, c in combo.items()}
+        scale = combo.pop(None)
+        return rest, combo, scale
 
 
 class WindowSubspace:
     """The graded slice of a module up to a depth, column i being
     ``basis[i]``, and a row-reduced subspace of it with witnesses: positive
-    membership answers come with the exact rational combination of
-    generators that reproduces the queried vector.  The columns that are
+    membership answers come with an exact integer combination of the
+    generators and the queried vector that is zero.  The columns that are
     no pivot, ``cosets()``, are the coset representatives of the quotient;
     ``split`` reduces a vector to its canonical representative over them
     and its witness in one pass, and ``reduce`` keeps the representative.
@@ -318,13 +320,14 @@ class WindowSubspace:
 
     def split(self, gv: GradedVector):
         """(canonical representative of gv, witness) from one reduction: the
-        witness is None, or {generator index -> coefficient} reproducing gv
-        exactly when the representative is zero."""
-        rem, combo = self.ech.reduce(self.row_of(gv))
+        witness is None, or, when the representative is zero, the integers
+        (combo, scale) with  sum_i combo[i]*gens[i] + scale*gv = 0."""
+        rem, combo, scale = self.ech.reduce(self.row_of(gv))
+        if rem:
+            return self.vector_of(rem), None
         # combo indices refer to insertion order, which matches self.gens;
         # rows that failed to increase rank still consumed an index
-        witness = None if rem else dict(sorted(combo.items()))
-        return self.vector_of(rem), witness
+        return GradedVector._of(self.module, {}), (combo, scale)
 
     def quotient_dims_by_depth(self) -> list:
         """Per-depth upper bounds for the dimensions of window/(subspace)."""

@@ -25,6 +25,8 @@ small to tell, and the caller may retry with a larger one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .basis import GradedVector, Sum
 from .errors import WindowOverflowError
@@ -160,15 +162,23 @@ INCONCLUSIVE = "inconclusive"
 class MembershipCert:
     status: str
     window_depth: int
-    witness: dict | None = None   # generator index -> rational coefficient
+    combo: dict | None = None     # generator index -> integer coefficient
+    scale: int = 1                # sum_i combo[i] gens[i] + scale x = 0
     labels: tuple = ()            # labels of the generators used
 
     @property
     def certified(self) -> bool:
         return self.status == CERTIFIED
 
+    @cached_property
+    def witness(self) -> dict | None:
+        """index -> -combo[i]/scale in index order, built on first read."""
+        if self.combo is None:
+            return None
+        return {i: Fraction(-self.combo[i], self.scale) for i in sorted(self.combo)}
+
     def witness_size(self) -> int:
-        return 0 if not self.witness else len(self.witness)
+        return len(self.combo or ())
 
 
 def certify(context, x: GradedVector, depth: int, retries=(2, 4), cap=None):
@@ -265,9 +275,11 @@ class IdealWindow:
 
         The check runs in every mode, ``python -O`` included: a witness that
         fails to reproduce x yields Inconclusive, never an unverified
-        Certified.  It is exact, not mod P: one ``basis.Sum`` adds c_i
-        gens[i] over the witness coefficients c_i, then -x, and x is
-        reproduced only if that sum is zero.  Raises ``WindowOverflowError``
+        Certified.  It is exact, not mod P, and in integers: one
+        ``basis.Sum`` adds c_i gens[i] over the integer combo c_i, then s x
+        for the integer scale s, and x is reproduced only if s is nonzero
+        and that sum is zero; the rational witness -c_i/s is built when
+        ``cert.witness`` is first read.  Raises ``WindowOverflowError``
         when x does not fit in the window; ``certify`` reads that as
         Inconclusive.
         """
@@ -279,14 +291,16 @@ class IdealWindow:
         rep, witness = self.subspace.split(x)
         if witness is None:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
+        combo, scale = witness
+        gens = self.subspace.gens
         defect = Sum()
-        for i, c in witness.items():
-            defect.add(self.subspace.gens[i], c)
-        defect.add(x, -1)
-        if defect.terms():
+        for i, c in combo.items():
+            defect.add(gens[i], c)
+        defect.add(x, scale)
+        if defect.nums or not scale:
             return rep, MembershipCert(INCONCLUSIVE, self.depth)
-        return rep, MembershipCert(CERTIFIED, self.depth, witness,
-                                   tuple(self.labels[i] for i in witness))
+        return rep, MembershipCert(CERTIFIED, self.depth, combo, scale,
+                                   tuple(self.labels[i] for i in sorted(combo)))
 
     def quotient_dims(self) -> list:
         return self.subspace.quotient_dims_by_depth()

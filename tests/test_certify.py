@@ -1,4 +1,5 @@
-"""The one escalation ladder, ``zhu.certify``, that every membership query uses."""
+"""The one escalation ladder, ``zhu.certify``, that every membership query
+uses, and the integer witness check behind every Certified answer."""
 
 from fractions import Fraction
 
@@ -97,47 +98,94 @@ def test_overflow_without_a_deeper_window_is_inconclusive(heis, retries):
 
 # --- the witness check ---------------------------------------------------------
 
-def _tamper_coefficient(sub, witness):
-    i = next(iter(witness))
-    witness[i] += Fraction(1, 7)
-
-
-def _tamper_modulus(sub, witness):
-    # the same witness mod P: only an exact re-multiplication tells them apart
-    i = next(iter(witness))
-    witness[i] += linalg.P
-
-
-def _tamper_index(sub, witness):
-    # move one coefficient onto a generator that differs from the one it named
-    i = next(iter(witness))
-    j = next(j for j, g in enumerate(sub.gens) if j not in witness and g != sub.gens[i])
-    witness[j] = witness.pop(i)
-
-
-@pytest.mark.parametrize("tamper", [_tamper_coefficient, _tamper_modulus, _tamper_index],
-                         ids=["coefficient", "modulus", "index"])
-@pytest.mark.parametrize("case", ["heisenberg", "fock-half"])
-def test_a_witness_that_does_not_rebuild_x_is_inconclusive(monkeypatch, request, case, tamper):
+def _window_and_members(request, case):
+    """A window and vectors of its span, Certified there."""
     if case == "heisenberg":
         V = request.getfixturevalue("heis")
         ctx = zhu_context(V, 0, 6)
-        x = (lp_element(V, V.monomial([("a", -1), ("a", -1)])) * Fraction(2, 3)
-             - lp_element(V, V.monomial([("a", -2)])))
+        xs = [lp_element(V, V.monomial([("a", -1), ("a", -1)])) * Fraction(2, 3)
+              - lp_element(V, V.monomial([("a", -2)])),
+              lp_element(V, V.alpha()) * 5 + ctx.subspace.gens[-1] * Fraction(-3, 4)]
     else:   # lowest weight 1/8: generators with Fraction coefficients
         W = request.getfixturevalue("fock_half")
         ctx = bimodule_context(W, 0, 5)
-        x = lp_element(W, W.monomial([("a", -1)])) * Fraction(1, 3) + lp_element(W, W.lw())
+        xs = [lp_element(W, W.monomial([("a", -1)])) * Fraction(1, 3) + lp_element(W, W.lw()),
+              ctx.subspace.gens[-1] * Fraction(7, 6) - ctx.subspace.gens[2]]
+    return ctx, xs
+
+
+def _tamper_coefficient(sub, combo, scale):
+    i = next(iter(combo))
+    combo[i] += 1
+    return combo, scale
+
+
+def _tamper_modulus(sub, combo, scale):
+    # the same witness mod P: only an exact re-multiplication tells them apart
+    i = next(iter(combo))
+    combo[i] += linalg.P
+    return combo, scale
+
+
+def _tamper_index(sub, combo, scale):
+    # move one coefficient onto a generator that differs from the one it named
+    i = next(iter(combo))
+    j = next(j for j, g in enumerate(sub.gens) if j not in combo and g != sub.gens[i])
+    combo[j] = combo.pop(i)
+    return combo, scale
+
+
+def _tamper_scale_modulus(sub, combo, scale):
+    return combo, scale + linalg.P
+
+
+def _tamper_scale_sign(sub, combo, scale):
+    return combo, -scale
+
+
+def _tamper_scale_zero(sub, combo, scale):
+    # an empty combo over scale 0 sums to zero for every x
+    return {}, 0
+
+
+@pytest.mark.parametrize("tamper", [_tamper_coefficient, _tamper_modulus, _tamper_index,
+                                    _tamper_scale_modulus, _tamper_scale_sign, _tamper_scale_zero],
+                         ids=["coefficient", "modulus", "index", "scale-modulus", "scale-sign",
+                              "scale-zero"])
+@pytest.mark.parametrize("case", ["heisenberg", "fock-half"])
+def test_a_witness_that_does_not_rebuild_x_is_inconclusive(monkeypatch, request, case, tamper):
+    ctx, (x, _) = _window_and_members(request, case)
     honest = ctx.membership(x)
     assert honest.certified
     split = WindowSubspace.split
 
     def tampered(self, gv):
         rep, witness = split(self, gv)
-        tamper(self, witness)
-        return rep, witness
+        return rep, tamper(self, *witness)
 
     monkeypatch.setattr(WindowSubspace, "split", tampered)
     cert = ctx.membership(x)
     assert cert.status == INCONCLUSIVE and cert.witness is None and cert.labels == ()
     assert ctx.reduce(x)[1].status == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "fock-half"])
+def test_the_rational_witness_is_read_from_the_integer_one(request, case):
+    """A Certified answer holds its witness in integers; ``cert.witness``
+    is -combo[i]/scale in index order, built on the first read and kept, and
+    it re-multiplies to x; reading it changes neither equality nor repr."""
+    ctx, xs = _window_and_members(request, case)
+    for x in xs:
+        cert, unread = ctx.membership(x), ctx.membership(x)
+        assert cert.certified
+        size = cert.witness_size()
+        witness = cert.witness
+        assert size == len(witness) > 0
+        assert list(witness) == sorted(witness)
+        assert witness == {i: Fraction(-c, cert.scale) for i, c in cert.combo.items()}
+        rebuilt = ctx.module.zero()
+        for i, c in witness.items():
+            rebuilt = rebuilt + ctx.subspace.gens[i] * c
+        assert rebuilt == x
+        assert cert.witness == witness
+        assert cert == unread and repr(cert) == repr(unread)

@@ -55,7 +55,7 @@ def test_reduce_leaves_no_pivot_support(seed):
     for r in rows:
         ech.insert_rational(dict(r))
     probe = {c: Fraction(rng.randint(-5, 5)) for c in range(6)}
-    rem, _ = ech.reduce(dict(probe))
+    rem, _ = _reduce(ech, rows, probe)
     assert not set(rem) & set(ech.rows)
 
 
@@ -72,12 +72,27 @@ def test_membership_and_witness_roundtrip(seed):
         for k, v in row.items():
             target[k] = target.get(k, Fraction(0)) + c_i * v
     target = {k: v for k, v in target.items() if v}
-    rem, combo = ech.reduce(dict(target))
+    rem, combo = _reduce(ech, rows, target)
     assert not rem
     # the witness names only inputs that added rank, with coefficients over
     # the rows as supplied
     assert set(combo) <= gained
     assert _rebuild(rows, combo) == target
+
+
+def _reduce(ech, rows, probe):
+    """``ech.reduce(probe)`` as (rest, rational combo -combo[i]/scale), once
+    its integer witness is checked: integer combo values, a nonzero integer
+    scale and  scale*(probe - rest) + sum_i combo[i]*rows[i] == 0  exactly."""
+    rest, combo, scale = ech.reduce(dict(probe))
+    assert type(scale) is int and scale
+    assert all(type(c) is int for c in combo.values())
+    total = {k: scale * (probe.get(k, 0) - rest.get(k, 0)) for k in set(probe) | set(rest)}
+    for i, c in combo.items():
+        for k, v in rows[i].items():
+            total[k] = total.get(k, 0) + c * v
+    assert not any(total.values())
+    return rest, {i: Fraction(-c, scale) for i, c in combo.items()}
 
 
 def _rebuild(rows, combo):
@@ -98,7 +113,7 @@ def test_combo_rebuilds_row_minus_remainder_outside_the_span(seed):
     for _ in range(5):
         probe = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for c in range(7)}
         probe = {c: v for c, v in probe.items() if v}
-        rem, combo = ech.reduce(dict(probe))
+        rem, combo = _reduce(ech, rows, probe)
         if not rem:
             continue
         expected = {k: probe.get(k, 0) - rem.get(k, 0) for k in set(probe) | set(rem)}
@@ -189,7 +204,7 @@ def test_two_case_step_matches_fraction_oracle(monkeypatch, seed):
     rows, ech, oracle = _two_case_form(rng)
     zero = nonzero = 0
     for probe in _probes(rng, rows):
-        rem, combo = ech.reduce(dict(probe))
+        rem, combo = _reduce(ech, rows, probe)
         assert (rem, combo) == oracle.reduce(probe)
         assert _rebuild(rows, combo) == {k: probe.get(k, 0) - rem.get(k, 0)
                                          for k in set(probe) | set(rem)
@@ -425,9 +440,9 @@ def test_denominator_divisible_by_p_is_scaled_before_the_filter(monkeypatch):
     assert not ech.insert_rational({0: Fraction(2), 1: Fraction(2, 3)})
     assert len(exact_calls) == 2
     assert (ech.rank, ech.n_inserted) == (2, 4)
-    rem, combo = ech.reduce({0: Fraction(1), 1: Fraction(1, 3)})
-    assert not rem and _rebuild([{0: 1}, {0: 4}, {0: 1, 1: Fraction(1, 3)}], combo) == \
-        {0: 1, 1: Fraction(1, 3)}
+    rows = [{0: 1}, {0: 4}, {0: 1, 1: Fraction(1, 3)}, {0: 2, 1: Fraction(2, 3)}]
+    rem, combo = _reduce(ech, rows, {0: Fraction(1), 1: Fraction(1, 3)})
+    assert not rem and _rebuild(rows, combo) == {0: 1, 1: Fraction(1, 3)}
 
 
 def test_mod_p_remainder_is_the_image_of_the_row_itself(monkeypatch):
