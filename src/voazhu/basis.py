@@ -139,7 +139,7 @@ class GradedVector:
 
     def weights(self) -> set:
         h = self.module.lowest_weight
-        return {h + bv.depth for bv in self.terms}
+        return {h + d for d in {bv.depth for bv in self.terms}}
 
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1
@@ -152,12 +152,12 @@ class GradedVector:
         return ws.pop()
 
     def homogeneous_components(self) -> dict:
-        """Split into weight -> homogeneous GradedVector."""
+        """Split into weight -> homogeneous GradedVector, in increasing weight."""
         h = self.module.lowest_weight
         parts: dict = {}
         for bv, c in self.terms.items():
-            parts.setdefault(h + bv.depth, {})[bv] = c
-        return {w: GradedVector._of(self.module, t) for w, t in sorted(parts.items())}
+            parts.setdefault(bv.depth, {})[bv] = c
+        return {h + d: GradedVector._of(self.module, t) for d, t in sorted(parts.items())}
 
     # --- arithmetic -------------------------------------------------------
 

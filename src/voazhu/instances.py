@@ -9,10 +9,11 @@ a session (CLI run, test suite) is what makes repeated checks cheap, and a
 caller that wants a cold, separately freed session builds its own
 instances (``HeisenbergVOA()``, ...).  Three more tables live for the
 process whatever instances are used: the bounded ``lru_cache``s of
-``formal._binom`` and ``modules.partitions``, and ``basis._interned``, the
-one object of each basis vector, which may be freed only when no vector of
-that value can be reached: an equal vector built later would be a second
-object with another hash.
+``formal._binom`` (non-integral tops only; ``formal.binom`` answers integer
+tops through ``math.comb``) and ``modules.partitions``, and
+``basis._interned``, the one object of each basis vector, which may be
+freed only when no vector of that value can be reached: an equal vector
+built later would be a second object with another hash.
 """
 
 from __future__ import annotations

@@ -174,8 +174,9 @@ def induced_hom(it: LogIntertwiner, N: int, w1: GradedVector,
     acc = Sum()
     for wt1, c1 in w1.homogeneous_components().items():
         for wt2, c2 in w2.homogeneous_components().items():
+            top = wt1 + wt2 - h3 - 1
             for n_idx in range(N + 1):
-                acc.add(it.mode(c1, wt1 + wt2 - h3 - n_idx - 1, 0, c2))
+                acc.add(it.mode(c1, top - n_idx, 0, c2))
     out = GradedVector._of(it.w3_module, acc.terms())
     if out.max_depth() > N:
         raise WindowOverflowError(

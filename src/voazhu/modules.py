@@ -150,9 +150,7 @@ class GenModule:
         (alpha, lw) but Y_0(alpha) lw = 0."""
         if u.is_zero() or w.is_zero():
             return 0
-        top = max(u_bv.depth - 1 + w_bv.depth
-                  for u_bv in u.terms for w_bv in w.terms)
-        return top + 1
+        return max(bv.depth for bv in u.terms) + max(bv.depth for bv in w.terms)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.module_id}>"

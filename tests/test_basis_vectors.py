@@ -208,6 +208,38 @@ def test_homogeneous_components(fock_one):
     assert comps[Fraction(5, 2)] == fock_one.monomial([("a", -2)], 5)
 
 
+def mixed_depth_vector(module, seed: int) -> GradedVector:
+    """Every basis vector of depths 0..5 (several at each depth from 2 on)
+    with a nonzero rational coefficient, inserted in shuffled order."""
+    rng = random.Random(seed)
+    window = basis_window(module, 5)
+    rng.shuffle(window)
+    return GradedVector(module, {bv: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                                 for bv in window})
+
+
+@pytest.mark.parametrize("make", [lambda: fock("1/2"), lambda: verma("1/2", "1/16")])
+def test_depth_buckets_match_the_per_term_weights(make):
+    """homogeneous_components and weights bucket by integer depth; their
+    keys, key order and values equal those of the per-term weight h + depth."""
+    module = make()
+    h = module.lowest_weight
+    for seed in range(3):
+        x = mixed_depth_vector(module, seed)
+        oracle: dict = {}
+        for bv, c in x.terms.items():
+            oracle.setdefault(h + bv.depth, {})[bv] = c
+        assert sum(len(t) >= 2 for t in oracle.values()) >= 3
+        comps = x.homogeneous_components()
+        assert list(comps) == sorted(oracle)
+        for wt, comp in comps.items():
+            assert type(wt) is Fraction
+            assert comp.terms == oracle[wt] and comp.module is module
+            assert comp.weight() == wt
+        assert x.weights() == {h + bv.depth for bv in x.terms} == set(oracle)
+        assert all(type(wt) is Fraction for wt in x.weights())
+
+
 def test_basis_window_ordering(heis):
     window = basis_window(heis, 3)
     depths = [bv.depth for bv in window]

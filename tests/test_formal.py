@@ -29,11 +29,7 @@ def test_memoized_binom_matches_falling_factorial():
     grid = [Fraction(rng.randint(-30, 30), rng.randint(1, 8)) for _ in range(40)]
     for a in grid + [Fraction(n) for n in range(-3, 13)]:
         for k in range(13):
-            num, den = Fraction(1), 1
-            for i in range(k):
-                num *= a - i
-                den *= i + 1
-            assert binom(a, k) == num / den, (a, k)
+            assert binom(a, k) == falling_factorial_quotient(a, k), (a, k)
             assert binom(a, k) == binom(a, k)   # again, now from the memo
 
 
@@ -53,8 +49,8 @@ def test_binom_pascal_recurrence(a, k):
 
 def test_integral_scalars_are_plain_ints():
     """as_scalar gives an int for every integral value, a Fraction otherwise;
-    the binomial memo is keyed on that normal form, so its result type does
-    not depend on the order of the calls that filled it."""
+    binom normalizes its top to that form, so an integral top never reaches
+    the memo and the result type does not depend on the order of the calls."""
     for x in (True, False, 2, Fraction(6, 3), "4/2", "-3", Fraction(-8, 4)):
         assert type(as_scalar(x)) is int, x
     assert as_scalar(True) == 1 and as_scalar("4/2") == as_scalar(Fraction(6, 3)) == 2
@@ -67,4 +63,39 @@ def test_integral_scalars_are_plain_ints():
     for calls in ([7, Fraction(7)], [Fraction(7), 7]):
         _binom.cache_clear()
         assert [type(binom(a, 3)) for a in calls] == [int, int]
-        assert _binom.cache_info().currsize == 1
+        assert _binom.cache_info().currsize == 0
+
+
+def falling_factorial_quotient(a, k: int) -> Fraction:
+    num, den = Fraction(1), 1
+    for i in range(k):
+        num *= a - i
+        den *= i + 1
+    return num / den
+
+
+def test_integer_tops_match_the_falling_factorial_as_ints():
+    for a in range(-60, 61):
+        for k in range(61):
+            c = binom(a, k)
+            assert type(c) is int and c == falling_factorial_quotient(a, k), (a, k)
+
+
+def test_integral_tops_of_other_types_take_the_integer_path():
+    _binom.cache_clear()
+    for a in (True, Fraction(7), "7"):
+        for k in (0, 1, 3):
+            c = binom(a, k)
+            assert type(c) is int and c == falling_factorial_quotient(as_scalar(a), k)
+    assert binom(True, 3) == 0 and binom(Fraction(7), 3) == binom("7", 3) == 35
+    assert _binom.cache_info().currsize == 0
+
+
+def test_only_non_integral_tops_are_memoized():
+    _binom.cache_clear()
+    for a in range(-5, 6):
+        for k in range(6):
+            binom(a, k)
+    assert _binom.cache_info().currsize == 0
+    assert binom(Fraction(1, 16), 4) == falling_factorial_quotient(Fraction(1, 16), 4)
+    assert _binom.cache_info().currsize == 1

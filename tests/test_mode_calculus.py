@@ -172,6 +172,26 @@ def test_lower_truncation_scan(heis, fock_one, vir_half):
     assert zero_momentum.mode_action(heis.alpha(), 0, zero_momentum.lw()).is_zero()
 
 
+def test_vanishing_bound_is_the_pairwise_maximum(heis, fock_one, verma_ising):
+    """The bound is max depth of u plus max depth of w, which equals the
+    maximum over every pair of terms of u_bv.depth - 1 + w_bv.depth, plus 1."""
+    stream = SampleStream(17)
+    multi = 0
+    for module in (fock_one, verma_ising):
+        alg = module.algebra
+        for _ in range(20):
+            u = stream.monomial(alg, 4) + stream.monomial(alg, 4) + stream.monomial(alg, 4)
+            w = stream.monomial(module, 4) + stream.monomial(module, 4) * 2
+            if u.is_zero() or w.is_zero():
+                continue
+            multi += len(u.terms) > 1 and len(w.terms) > 1
+            pairwise = max(u_bv.depth - 1 + w_bv.depth
+                           for u_bv in u.terms for w_bv in w.terms) + 1
+            assert module.mode_vanishing_bound(u, w) == pairwise
+    assert multi >= 20
+    assert fock_one.mode_vanishing_bound(heis.alpha(), fock_one.lw() * 0) == 0
+
+
 def test_unit_modes_are_shared_memo_entries_left_unchanged(heis, fock_one):
     """For unit basis vectors ``mode_action`` hands out the mode table's memo
     entry itself, so the vector arithmetic done on it must not edit it."""
